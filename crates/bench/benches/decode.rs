@@ -278,6 +278,7 @@ fn bench_batched_decode(c: &mut Criterion) {
                 max_batch: SESSIONS,
                 max_wait: 0,
                 capacity: 64,
+                ..BatchConfig::default()
             },
             workers: 2,
             tenants: SESSIONS,

@@ -62,6 +62,7 @@ fn served(max_wait: u64) -> Served {
                 max_batch: 16,
                 max_wait,
                 capacity: 4096,
+                ..BatchConfig::default()
             },
             workers: 2,
             tenants: TENANTS,
@@ -70,22 +71,12 @@ fn served(max_wait: u64) -> Served {
         .build()
 }
 
-/// Adaptive deadlines OFF: a closed-loop benchmark client is exactly
-/// the sparse-traffic case the controller pads with deadline slack, and
-/// these entries measure the transport, not the batching policy.
-fn raw_transport() -> NetConfig {
-    NetConfig {
-        adaptive: None,
-        ..NetConfig::default()
-    }
-}
-
 /// One request per iteration, through the socket vs in process — the
 /// transport's full overhead in one ratio.
 fn bench_roundtrip(c: &mut Criterion) {
     let input = Tensor::from_vec((0..DIM).map(|j| (j as f32 * 0.21).sin()).collect(), &[DIM]);
 
-    let server = NetServer::spawn(served(0), "127.0.0.1:0", raw_transport()).expect("bind");
+    let server = NetServer::spawn(served(0), "127.0.0.1:0", NetConfig::default()).expect("bind");
     let mut client = NetClient::connect(server.addr(), "bench").expect("connect");
     c.bench_function("net/loopback_roundtrip", |b| {
         b.iter(|| {
@@ -125,7 +116,7 @@ fn bench_zipf_over_loopback(c: &mut Criterion) {
         mean_gap: 0,
     };
     let trace = generate_trace(&cfg);
-    let server = NetServer::spawn(served(0), "127.0.0.1:0", raw_transport()).expect("bind");
+    let server = NetServer::spawn(served(0), "127.0.0.1:0", NetConfig::default()).expect("bind");
     let addr = server.addr();
 
     let start = std::time::Instant::now();

@@ -113,6 +113,7 @@ fn bench_zipf_load(c: &mut Criterion) {
                 max_batch: BATCH,
                 max_wait: 0,
                 capacity: 4096,
+                ..BatchConfig::default()
             },
             workers: 2,
             tenants: THREADS,

@@ -19,7 +19,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use gqa_net::{FairConfig, NetClient, NetConfig, NetError, NetServer, RemoteError};
+use gqa_net::{NetClient, NetConfig, NetError, NetServer, RemoteError};
 use gqa_serve::{EngineBuilder, Method, NonLinearOp, OpPlan, OperatorPlan};
 use gqa_served::{
     generate_trace, request_input, BatchConfig, LoadGenConfig, ModelSpec, ServedBuilder,
@@ -106,6 +106,9 @@ fn parse_args() -> Result<Args, String> {
     if args.tenants == 0 {
         return Err("--tenants must be positive".into());
     }
+    if args.quota == 0 {
+        return Err("--quota must be positive".into());
+    }
     Ok(args)
 }
 
@@ -145,24 +148,15 @@ fn main() {
                 max_batch: 16,
                 max_wait: 2,
                 capacity: 4096,
+                quota: args.quota,
             },
             workers: 2,
             tenants: args.tenants,
             ..ServedConfig::default()
         })
         .build();
-    let server = NetServer::spawn(
-        served,
-        "127.0.0.1:0",
-        NetConfig {
-            fair: FairConfig {
-                quota: args.quota,
-                ..FairConfig::default()
-            },
-            ..NetConfig::default()
-        },
-    )
-    .expect("bind loopback");
+    let server =
+        NetServer::spawn(served, "127.0.0.1:0", NetConfig::default()).expect("bind loopback");
     let addr = server.addr();
     println!("gqa-soak: serving on {addr}, {} tenants", args.tenants);
 

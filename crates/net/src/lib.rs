@@ -1,6 +1,5 @@
 //! `gqa-net`: the network front door for the `gqa-served` serving
-//! front-end — a socket transport, wire protocol, and fair admission
-//! layer.
+//! front-end — a socket transport and wire protocol.
 //!
 //! The serving stack below this crate is process-local: tenants hold a
 //! [`gqa_served::Served`] handle and submit through it. This crate puts
@@ -12,37 +11,31 @@
 //!   tensors travel as raw `f32` bit patterns, so the transport cannot
 //!   perturb a single mantissa bit. Every decoder is total: malformed
 //!   bytes come back as typed [`WireError`]s, never panics.
-//! - **[`fair`]** — per-tenant admission quotas and deficit-round-robin
-//!   weighted fair queuing in front of the shared coalescer queue
-//!   ([`FairAdmission`]), plus an EWMA arrival-rate tracker
-//!   ([`AdaptiveWait`]) that retunes the coalescer's `max_wait` between
-//!   throughput (dense traffic) and latency (sparse traffic). Both are
-//!   pure tick-driven state machines in the [`gqa_served::Coalescer`]
-//!   mold — no internal clocks, fully deterministic under test.
 //! - **[`server`]** — [`NetServer`]: a blocking accept loop (no async
-//!   runtime), thread-per-connection frame handlers, and a single
-//!   admission pump draining the fair queue into `Served::submit`.
+//!   runtime) and thread-per-connection frame handlers that call
+//!   `Served::submit` directly. Admission — per-tenant quotas, fair
+//!   round-robin lanes, the batching deadline — is the fronted server's
+//!   [`gqa_served::Coalescer`], the same for socket, in-process and
+//!   decode traffic.
 //! - **[`client`]** — [`NetClient`]: a blocking lockstep client used by
 //!   the equivalence suites, the `gqa-soak` binary, and examples.
 //!
 //! The load-bearing contract is inherited, not invented here: a
 //! response read off the socket is `to_bits`-identical to the same
 //! request served in-process, including across mid-traffic engine
-//! swaps and refreshes — the wire layer moves bits, the fairness layer
-//! only reorders admission, and the coalescing-invisibility contract
-//! does the rest.
+//! swaps and refreshes — the wire layer moves bits, fair admission only
+//! reorders requests, and the coalescing-invisibility contract does the
+//! rest.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod client;
-pub mod fair;
 pub mod server;
 pub mod wire;
 
 pub use client::{NetClient, NetError, ServerInfo};
-pub use fair::{AdaptiveWait, FairAdmission, FairConfig, Release};
-pub use server::{AdaptiveConfig, NetConfig, NetServer, NetStats};
+pub use server::{NetConfig, NetServer, NetStats};
 pub use wire::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
     FrameRead, RemoteError, RequestFrame, ResponseFrame, WireError, MAX_FRAME_LEN,

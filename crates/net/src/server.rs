@@ -1,21 +1,19 @@
-//! The TCP front door: a blocking accept loop, thread-per-connection
-//! frame handlers, and the fair-admission pump between the sockets and
-//! the shared [`Served`] queue.
+//! The TCP front door: a blocking accept loop and thread-per-connection
+//! frame handlers that submit straight into the shared [`Served`] queue.
 //!
 //! ```text
-//!   TcpListener ──▶ connection threads     validate → FairAdmission
-//!       (accept)      (read_frame/decode)    (per-tenant lanes, DRR)
-//!                          │                        │
-//!                          │ reply channel          ▼ admission pump
-//!                          │                 Served::submit (shared
-//!                          ▼                 bounded queue, coalesce)
+//!   TcpListener ──▶ connection threads ──▶ Served::submit (per-tenant
+//!       (accept)      (read_frame/decode)    fair lanes + quota, bounded
+//!                          │                 queue, coalesce)
+//!                          ▼
 //!                    Ticket::wait ──▶ encode_response → write_frame
 //! ```
 //!
 //! No async runtime anywhere: the accept loop and every connection are
-//! plain blocking threads (reads carry a short timeout so shutdown is
-//! never stuck behind an idle socket), and the pump is one thread
-//! draining the [`FairAdmission`] rotation into `Served::submit`.
+//! plain blocking threads. An idle read polls with a short timeout so
+//! shutdown is never stuck behind an idle socket; a frame that has
+//! started arrives under the longer [`FRAME_DEADLINE`](crate::wire::FRAME_DEADLINE),
+//! so a slow peer that pauses mid-frame is waited for.
 //!
 //! The transport inherits the serving layer's bitwise contract whole: a
 //! response read off the socket is `to_bits`-identical to the same
@@ -29,73 +27,32 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use gqa_served::{
-    DecodeSession, HistogramSnapshot, LatencyHistogram, Request, Served, ServedError, Ticket,
-};
+use gqa_served::{DecodeSession, HistogramSnapshot, Request, Served, ServedError, Ticket};
 use gqa_tensor::Tensor;
 
-use crate::fair::{AdaptiveWait, FairAdmission, FairConfig};
 use crate::wire::{
     decode_request, encode_response, read_frame, write_frame, FrameRead, RemoteError, RequestFrame,
     ResponseFrame, PROTOCOL_VERSION,
 };
 
-/// Adaptive-deadline controller configuration (see
-/// [`AdaptiveWait`]): the EWMA of observed inter-arrival gaps retunes
-/// the live coalescer's `max_wait` through
-/// [`Served::set_max_wait`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// EWMA smoothing factor in `(0, 1]` (weight of the newest gap).
-    pub alpha: f64,
-    /// Lower clamp on the suggested `max_wait` (ticks).
-    pub min_wait: u64,
-    /// Upper clamp on the suggested `max_wait` (ticks) — the latency
-    /// SLO under sparse traffic.
-    pub max_wait: u64,
-    /// Apply a fresh suggestion every this many admitted arrivals.
-    pub update_every: u64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 0.2,
-            min_wait: 0,
-            max_wait: 8,
-            update_every: 32,
-        }
-    }
-}
-
-/// Network front-door configuration.
-#[derive(Debug, Clone, PartialEq)]
+/// Network front-door configuration. Admission policy (per-tenant
+/// quota, batching deadline) lives in the fronted server's
+/// [`gqa_served::BatchConfig`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
-    /// Fair-admission policy (per-tenant quota, DRR quantum).
-    pub fair: FairConfig,
-    /// Per-tenant WFQ weights. Empty (the default) means weight 1 for
-    /// every tenant of the underlying server; otherwise the length must
-    /// equal the server's tenant count.
-    pub weights: Vec<u64>,
-    /// Adaptive `max_wait` control; `None` leaves the coalescer's
-    /// configured deadline untouched.
-    pub adaptive: Option<AdaptiveConfig>,
-    /// Read-poll timeout on connection sockets. Shutdown latency is
-    /// bounded by this; it never drops data (the poll peeks before it
-    /// reads).
+    /// Idle read-poll timeout on connection sockets: how long a
+    /// connection waits for the first byte of a frame before checking
+    /// the shutdown flag. Shutdown latency is bounded by this; it never
+    /// drops data (the poll peeks before it reads).
     pub read_timeout: Duration,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         Self {
-            fair: FairConfig::default(),
-            weights: Vec::new(),
-            adaptive: Some(AdaptiveConfig::default()),
             read_timeout: Duration::from_millis(25),
         }
     }
@@ -107,61 +64,31 @@ impl Default for NetConfig {
 pub struct NetStats {
     /// Connections accepted since start.
     pub connections: u64,
-    /// Submissions rejected by a per-tenant admission quota.
+    /// Socket requests (inferences and decode steps) rejected by the
+    /// per-tenant admission quota.
     pub quota_rejections: u64,
     /// Malformed/unspeakable frames received (each closed its
     /// connection after a typed error reply).
     pub protocol_errors: u64,
 }
 
-/// One admitted-but-not-yet-submitted request: the payload of the fair
-/// queue. The reply channel hands the `Served` ticket (or the submit
-/// error) back to the connection thread that owns the socket.
-struct AdmitJob {
-    request: Request,
-    reply: SyncSender<Result<Ticket, ServedError>>,
-}
-
-/// Fair queue + adaptive controller behind one mutex: arrivals observe
-/// the clock and enqueue; the pump polls releases in DRR order.
-struct FairState {
-    queue: FairAdmission<AdmitJob>,
-    adaptive: AdaptiveWait,
-    arrivals: u64,
-}
-
 struct Shared {
     served: Served,
-    fair: Mutex<FairState>,
-    fair_cv: Condvar,
-    adaptive_cfg: Option<AdaptiveConfig>,
-    max_batch: usize,
     shutdown: AtomicBool,
     read_timeout: Duration,
-    /// Per-tenant admission-wait histograms in **ticks** (the fair
-    /// queue's virtual time), alongside `Served`'s nanosecond service
-    /// histograms.
-    admission: Vec<LatencyHistogram>,
     connections: AtomicU64,
     quota_rejections: AtomicU64,
     protocol_errors: AtomicU64,
 }
 
-impl Shared {
-    fn tick(&self) -> u64 {
-        self.served.now()
-    }
-}
-
 /// The running TCP front door. Owns the [`Served`] front-end it fronts;
-/// dropping the server stops accepting, drains the fair queue (typed
-/// `ShuttingDown` replies), joins every connection thread, then drops
-/// the front-end (which drains its own queue in turn).
+/// dropping the server stops accepting, shuts the front-end down (every
+/// in-flight request resolves), joins every connection thread, then
+/// drops the front-end.
 pub struct NetServer {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<std::thread::JoinHandle<()>>,
-    pump: Option<std::thread::JoinHandle<()>>,
     conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
@@ -175,68 +102,27 @@ impl std::fmt::Debug for NetServer {
 
 impl NetServer {
     /// Binds `addr` (use port 0 for an ephemeral loopback port) and
-    /// starts the accept loop and admission pump over `served`.
+    /// starts the accept loop over `served`.
     ///
     /// # Errors
     ///
     /// Propagates the bind failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.weights` is non-empty with a length different
-    /// from the server's tenant count (a configuration bug).
     pub fn spawn(
         served: Served,
         addr: impl ToSocketAddrs,
         cfg: NetConfig,
     ) -> std::io::Result<Self> {
-        let tenants = served.tenant_count();
-        let weights = if cfg.weights.is_empty() {
-            vec![1; tenants]
-        } else {
-            assert_eq!(
-                cfg.weights.len(),
-                tenants,
-                "weights must cover every tenant"
-            );
-            cfg.weights.clone()
-        };
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let adaptive = cfg
-            .adaptive
-            .map(|a| AdaptiveWait::new(a.alpha, a.min_wait, a.max_wait))
-            .unwrap_or_else(|| AdaptiveWait::new(1.0, 0, u64::MAX));
-        let max_batch = {
-            // The coalescer's batch width drives the adaptive fill-time
-            // estimate; read it once through the stats-free accessor.
-            served.batch_config().max_batch
-        };
         let shared = Arc::new(Shared {
-            fair: Mutex::new(FairState {
-                queue: FairAdmission::new(&weights, cfg.fair),
-                adaptive,
-                arrivals: 0,
-            }),
-            fair_cv: Condvar::new(),
-            adaptive_cfg: cfg.adaptive,
-            max_batch,
+            served,
             shutdown: AtomicBool::new(false),
             read_timeout: cfg.read_timeout,
-            admission: (0..tenants).map(|_| LatencyHistogram::new()).collect(),
             connections: AtomicU64::new(0),
             quota_rejections: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
-            served,
         });
         let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let pump = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("gqa-net-pump".into())
-                .spawn(move || pump_loop(&shared))
-                .expect("spawn pump")
-        };
         let accept = {
             let shared = Arc::clone(&shared);
             let conns = Arc::clone(&conns);
@@ -249,7 +135,6 @@ impl NetServer {
             shared,
             addr,
             accept: Some(accept),
-            pump: Some(pump),
             conns,
         })
     }
@@ -277,15 +162,16 @@ impl NetServer {
         }
     }
 
-    /// Admission-wait snapshot (ticks) for one tenant — the WFQ layer's
-    /// own latency record, separate from the service-time histograms.
+    /// Admission-wait snapshot (ticks) for one tenant: the fronted
+    /// server's [`Served::queue_wait`], covering the fair-lane delay and
+    /// the coalescer deadline, separate from the service-time histograms.
     ///
     /// # Panics
     ///
     /// Panics if `tenant` is outside the tenant space.
     #[must_use]
     pub fn admission_wait(&self, tenant: usize) -> HistogramSnapshot {
-        self.shared.admission[tenant].snapshot()
+        self.shared.served.queue_wait(tenant)
     }
 
     /// The full Prometheus text export — the same body the `Stats`
@@ -299,26 +185,17 @@ impl NetServer {
 
 impl Drop for NetServer {
     fn drop(&mut self) {
-        // Same lost-wakeup discipline as `Served`: flip the flag while
-        // holding the fair lock (the pump reads it under that lock just
-        // before waiting), then wake everyone.
-        {
-            let _guard = self.shared.fair.lock();
-            self.shared.shutdown.store(true, Ordering::Release);
-        }
-        self.shared.fair_cv.notify_all();
+        self.shared.shutdown.store(true, Ordering::Release);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.pump.take() {
-            let _ = h.join();
-        }
         // Shut the front-end down BEFORE joining connection threads:
         // any handler blocked in `Ticket::wait` is guaranteed a
-        // resolution (executed by a draining worker, or failed typed),
-        // so the joins below cannot deadlock on a parked request.
+        // resolution (executed by a draining worker, or failed typed)
+        // and any later submit is refused typed, so the joins below
+        // cannot deadlock on a parked request.
         self.shared.served.shutdown();
         let handles = std::mem::take(&mut *self.conns.lock().expect("conns lock"));
         for h in handles {
@@ -346,45 +223,6 @@ fn accept_loop(
             .spawn(move || connection_loop(&shared, &stream))
             .expect("spawn connection thread");
         conns.lock().expect("conns lock").push(handle);
-    }
-}
-
-/// Drains the fair queue into `Served::submit`, one release at a time
-/// in DRR order, handing each ticket back through its reply channel.
-fn pump_loop(shared: &Shared) {
-    loop {
-        let release = {
-            let mut st = shared.fair.lock().expect("fair lock");
-            loop {
-                let now = shared.tick();
-                if let Some(r) = st.queue.poll(now) {
-                    break Some(r);
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                st = shared.fair_cv.wait(st).expect("fair wait");
-            }
-        };
-        match release {
-            Some(r) => {
-                shared.admission[r.tenant].record(r.waited);
-                // Submit OUTSIDE the fair lock: the shared queue has its
-                // own mutex, and a slow submit must not block arrivals.
-                let result = shared.served.submit(r.item.request);
-                // A dead peer dropped its receiver; nothing to clean up —
-                // the request (if admitted) executes and its ticket is
-                // simply never waited on.
-                let _ = r.item.reply.send(result);
-            }
-            None => {
-                let mut st = shared.fair.lock().expect("fair lock");
-                for r in st.queue.drain() {
-                    let _ = r.item.reply.send(Err(ServedError::ShuttingDown));
-                }
-                return;
-            }
-        }
     }
 }
 
@@ -430,7 +268,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: &TcpStream) {
                 return;
             }
             // Abrupt disconnect (EOF mid-frame) or a peer too slow to
-            // finish a frame within the poll timeout.
+            // finish a frame within the frame deadline.
             Err(_) => return,
         };
         let response = match decode_request(&payload) {
@@ -472,7 +310,20 @@ fn handle_frame(
             tenant,
             model,
             input,
-        } => handle_infer(shared, tenant, model, input),
+        } => {
+            let Ok(tenant_ix) = usize::try_from(tenant) else {
+                return ResponseFrame::Error(RemoteError::UnknownTenant(tenant));
+            };
+            let Ok(model_ix) = usize::try_from(model) else {
+                return ResponseFrame::Error(RemoteError::UnknownModel(model));
+            };
+            let request = Request {
+                tenant: tenant_ix,
+                model: model_ix,
+                input,
+            };
+            reply(shared, shared.served.submit(request).and_then(Ticket::wait))
+        }
         RequestFrame::DecodeOpen { tenant, model } => {
             let Ok(tenant_ix) = usize::try_from(tenant) else {
                 return ResponseFrame::Error(RemoteError::UnknownTenant(tenant));
@@ -494,14 +345,7 @@ fn handle_frame(
             let Some(s) = usize::try_from(session).ok().and_then(|i| sessions.get(i)) else {
                 return ResponseFrame::Error(RemoteError::UnknownSession(session));
             };
-            // Decode steps skip the WFQ lanes: they are strictly
-            // sequential per session (one in flight per connection), so
-            // a tenant cannot flood through them, and their latency
-            // budget is the decode loop itself.
-            match s.step(input).map(Ticket::wait) {
-                Ok(Ok(output)) => ResponseFrame::Output { output },
-                Ok(Err(e)) | Err(e) => ResponseFrame::Error(RemoteError::from(&e)),
-            }
+            reply(shared, s.step(input).and_then(Ticket::wait))
         }
         RequestFrame::Stats => ResponseFrame::StatsText {
             text: render_report(shared),
@@ -509,85 +353,23 @@ fn handle_frame(
     }
 }
 
-/// The `Infer` path: validate → fair-admit → pump submits → wait.
-fn handle_infer(shared: &Arc<Shared>, tenant: u64, model: u64, input: Tensor) -> ResponseFrame {
-    // Validate BEFORE admission so a bad request never consumes fair-
-    // queue quota or credits.
-    let Ok(tenant_ix) = usize::try_from(tenant) else {
-        return ResponseFrame::Error(RemoteError::UnknownTenant(tenant));
-    };
-    if tenant_ix >= shared.served.tenant_count() {
-        return ResponseFrame::Error(RemoteError::UnknownTenant(tenant));
-    }
-    let Ok(model_ix) = usize::try_from(model) else {
-        return ResponseFrame::Error(RemoteError::UnknownModel(model));
-    };
-    let Some(row_shape) = shared.served.model_row_shape(model_ix) else {
-        return ResponseFrame::Error(RemoteError::UnknownModel(model));
-    };
-    if input.shape != row_shape {
-        return ResponseFrame::Error(RemoteError::BadShape {
-            model,
-            expected: row_shape.iter().map(|&d| d as u64).collect(),
-            got: input.shape.iter().map(|&d| d as u64).collect(),
-        });
-    }
-    let (reply, ticket_rx): (_, Receiver<Result<Ticket, ServedError>>) =
-        std::sync::mpsc::sync_channel(1);
-    let job = AdmitJob {
-        request: Request {
-            tenant: tenant_ix,
-            model: model_ix,
-            input,
-        },
-        reply,
-    };
-    let retune = {
-        let mut st = shared.fair.lock().expect("fair lock");
-        // Checked under the fair lock: the pump's final drain runs
-        // under this lock after the flag flips, so a submit past this
-        // point is guaranteed a pump that will poll it — never a job
-        // parked in a queue nobody reads.
-        if shared.shutdown.load(Ordering::Acquire) {
-            return ResponseFrame::Error(RemoteError::ShuttingDown);
-        }
-        let now = shared.tick();
-        st.adaptive.observe(now);
-        st.arrivals += 1;
-        if let Err((rej, _job)) = st.queue.submit(tenant_ix, job, now) {
-            shared.quota_rejections.fetch_add(1, Ordering::Relaxed);
-            return ResponseFrame::Error(RemoteError::QuotaExceeded {
-                queued: rej.depth as u64,
-                quota: rej.capacity as u64,
-            });
-        }
-        match shared.adaptive_cfg {
-            Some(a) if st.arrivals.is_multiple_of(a.update_every) => {
-                Some(st.adaptive.suggest(shared.max_batch))
+/// The reply to an `Infer` or `DecodeStep`: the output row, or the
+/// typed refusal (counting quota rejections).
+fn reply(shared: &Shared, result: Result<Tensor, ServedError>) -> ResponseFrame {
+    match result {
+        Ok(output) => ResponseFrame::Output { output },
+        Err(e) => {
+            if matches!(e, ServedError::QuotaExceeded { .. }) {
+                shared.quota_rejections.fetch_add(1, Ordering::Relaxed);
             }
-            _ => None,
+            ResponseFrame::Error(RemoteError::from(&e))
         }
-    };
-    shared.fair_cv.notify_one();
-    if let Some(max_wait) = retune {
-        // Outside the fair lock: set_max_wait takes the served queue
-        // lock, and the two must never nest.
-        shared.served.set_max_wait(max_wait);
-    }
-    match ticket_rx.recv() {
-        Ok(Ok(ticket)) => match ticket.wait() {
-            Ok(output) => ResponseFrame::Output { output },
-            Err(e) => ResponseFrame::Error(RemoteError::from(&e)),
-        },
-        Ok(Err(e)) => ResponseFrame::Error(RemoteError::from(&e)),
-        // The pump died with our job in hand — shutdown.
-        Err(_) => ResponseFrame::Error(RemoteError::ShuttingDown),
     }
 }
 
 /// Renders the full Prometheus text export: serving + engine + network
 /// counters as gauges, then the per-tenant service-latency and
-/// admission-wait histogram series (via
+/// queue-wait histogram series (via
 /// [`HistogramSnapshot::render_prometheus`]).
 fn render_report(shared: &Shared) -> String {
     let mut out = String::new();
@@ -628,9 +410,10 @@ fn render_report(shared: &Shared) -> String {
                 .render_prometheus("gqa_served_latency_ns", &[("tenant", &label)]),
         );
         out.push_str(
-            &shared.admission[tenant]
-                .snapshot()
-                .render_prometheus("gqa_net_admission_wait_ticks", &[("tenant", &label)]),
+            &shared
+                .served
+                .queue_wait(tenant)
+                .render_prometheus("gqa_served_queue_wait_ticks", &[("tenant", &label)]),
         );
     }
     out

@@ -24,6 +24,9 @@
 //! construction — the transport can never perturb the serving layer's
 //! bitwise contracts.
 
+use std::io::{ErrorKind, Read};
+use std::time::{Duration, Instant};
+
 use gqa_served::{Rejected, ServedError};
 use gqa_tensor::Tensor;
 
@@ -39,6 +42,12 @@ pub const MAX_FRAME_LEN: usize = 1 << 24; // 16 MiB
 
 /// Upper bound on a wire tensor's rank.
 pub const MAX_TENSOR_DIMS: usize = 8;
+
+/// How long [`read_frame`] waits for the rest of a frame once its first
+/// byte has arrived. A socket read timeout (the server's idle poll)
+/// only bounds the wait for that first byte; a peer that pauses
+/// mid-frame is waited for up to this deadline, then dropped.
+pub const FRAME_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Request opcodes (client → server).
 mod op {
@@ -126,7 +135,7 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// A typed server-side failure carried in an `Error` response frame —
-/// the wire mirror of [`ServedError`] plus the admission- and
+/// the wire mirror of [`ServedError`] plus the session- and
 /// protocol-level failures only the network layer can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RemoteError {
@@ -156,10 +165,11 @@ pub enum RemoteError {
     StepPending,
     /// The server is shutting down.
     ShuttingDown,
-    /// Per-tenant fair-admission quota exhausted — the WFQ layer's own
-    /// backpressure, distinct from shared-queue [`RemoteError::Rejected`].
+    /// Per-tenant admission quota exhausted (mirrors
+    /// [`ServedError::QuotaExceeded`]) — distinct from shared-queue
+    /// [`RemoteError::Rejected`].
     QuotaExceeded {
-        /// Requests this tenant has queued in its admission lane.
+        /// Requests this tenant has queued.
         queued: u64,
         /// The tenant's configured quota.
         quota: u64,
@@ -209,6 +219,10 @@ impl From<&ServedError> for RemoteError {
             ServedError::Rejected(Rejected { depth, capacity }) => RemoteError::Rejected {
                 depth: *depth as u64,
                 capacity: *capacity as u64,
+            },
+            ServedError::QuotaExceeded { queued, quota } => RemoteError::QuotaExceeded {
+                queued: *queued as u64,
+                quota: *quota as u64,
             },
             ServedError::UnknownModel(m) => RemoteError::UnknownModel(*m as u64),
             ServedError::UnknownTenant(t) => RemoteError::UnknownTenant(*t as u64),
@@ -702,22 +716,23 @@ pub enum FrameRead {
 ///
 /// EOF in the **middle** of a frame (after a partial length prefix or a
 /// partial payload) is an `UnexpectedEof` I/O error — the abrupt-
-/// disconnect case, distinct from [`FrameRead::Eof`].
+/// disconnect case, distinct from [`FrameRead::Eof`]. Once the first
+/// byte is in, read timeouts are retried until [`FRAME_DEADLINE`], so a
+/// slow peer's frame survives a socket timeout shorter than its pauses.
 ///
 /// # Errors
 ///
-/// Propagates the underlying `io::Error` (including the read timeout
-/// the server uses to poll its shutdown flag, which surfaces as
-/// `WouldBlock`/`TimedOut`).
-pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<FrameRead> {
+/// Propagates the underlying `io::Error`: a read timeout on the first
+/// byte (the server's idle poll, `WouldBlock`/`TimedOut`), or one past
+/// the frame deadline.
+pub fn read_frame(r: &mut impl Read) -> std::io::Result<FrameRead> {
     let mut len_buf = [0u8; 4];
     // A clean EOF on the FIRST byte of the prefix is a polite hangup.
-    match r.read(&mut len_buf[..1])? {
-        0 => return Ok(FrameRead::Eof),
-        1 => {}
-        _ => unreachable!("read into 1-byte buffer"),
+    if r.read(&mut len_buf[..1])? == 0 {
+        return Ok(FrameRead::Eof);
     }
-    r.read_exact(&mut len_buf[1..])?;
+    let deadline = Instant::now() + FRAME_DEADLINE;
+    read_until(r, &mut len_buf[1..], deadline)?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME_LEN {
         return Ok(FrameRead::Oversized(WireError::Oversized {
@@ -726,8 +741,27 @@ pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<FrameRead> {
         }));
     }
     let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    read_until(r, &mut payload, deadline)?;
     Ok(FrameRead::Frame(payload))
+}
+
+/// Fills `buf`, retrying timed-out and interrupted reads until
+/// `deadline`. The offset is tracked by hand because after a timeout
+/// `read_exact` leaves the number of bytes it consumed unspecified.
+fn read_until(r: &mut impl Read, buf: &mut [u8], deadline: Instant) -> std::io::Result<()> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e)
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                    && Instant::now() < deadline => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

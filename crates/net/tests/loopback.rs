@@ -73,6 +73,7 @@ fn loopback(engine: Engine, spec: ModelSpec) -> NetServer {
                 max_batch: 4,
                 max_wait: 0,
                 capacity: 64,
+                ..BatchConfig::default()
             },
             workers: 2,
             tenants: 4,
@@ -444,6 +445,7 @@ fn queue_rejection_reaches_the_client_typed() {
                 max_batch: 4,
                 max_wait: 0,
                 capacity: 1,
+                ..BatchConfig::default()
             },
             workers: 0,
             tenants: 4,

@@ -7,10 +7,12 @@
 //! fed garbage, oversized prefixes, half-frames, and abrupt
 //! disconnects answers with a typed `Protocol` error (or just drops the
 //! connection), stays alive for well-behaved clients, and shuts down
-//! cleanly afterwards.
+//! cleanly afterwards — while an honest peer that pauses mid-frame is
+//! still served.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 use gqa_net::{
     decode_request, decode_response, encode_request, encode_response, write_frame, NetClient,
@@ -18,7 +20,7 @@ use gqa_net::{
     PROTOCOL_VERSION,
 };
 use gqa_serve::{EngineBuilder, OperatorPlan};
-use gqa_served::{BatchConfig, ModelSpec, ServedBuilder, ServedConfig};
+use gqa_served::{BatchConfig, ModelSpec, Request, ServedBuilder, ServedConfig};
 use gqa_tensor::Tensor;
 
 const DIM: usize = 4;
@@ -142,6 +144,7 @@ fn tiny_server() -> NetServer {
                 max_batch: 4,
                 max_wait: 0,
                 capacity: 16,
+                ..BatchConfig::default()
             },
             workers: 1,
             tenants: 2,
@@ -227,6 +230,43 @@ fn half_frame_disconnect_is_a_clean_drop() {
         .unwrap()
         .contains("gqa_served_submitted_total"));
     assert_eq!(server.stats().protocol_errors, 0);
+}
+
+/// An honest slow peer that pauses mid-frame for longer than the
+/// server's 25 ms idle poll still gets a bit-exact answer: the poll only
+/// bounds the wait for a frame's first byte.
+#[test]
+fn slow_peer_pausing_mid_frame_is_served() {
+    let server = tiny_server();
+    let input = Tensor::from_vec(vec![0.5, -1.25, f32::MIN_POSITIVE, 7.0], &[DIM]);
+    let mut framed = Vec::new();
+    let infer = RequestFrame::Infer {
+        tenant: 0,
+        model: 0,
+        input: input.clone(),
+    };
+    write_frame(&mut framed, &encode_request(&infer)).unwrap();
+
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.set_nodelay(true).unwrap();
+    let half = framed.len() / 2;
+    s.write_all(&framed[..half]).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    s.write_all(&framed[half..]).unwrap();
+
+    let want = server
+        .served()
+        .serve(Request {
+            tenant: 0,
+            model: 0,
+            input,
+        })
+        .unwrap();
+    let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    match read_response(&mut s) {
+        Some(ResponseFrame::Output { output }) => assert_eq!(bits(&output), bits(&want)),
+        other => panic!("expected the output row, got {other:?}"),
+    }
 }
 
 /// Unknown-version frames are refused per-frame (typed), not by

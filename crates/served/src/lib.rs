@@ -7,9 +7,10 @@
 //!
 //! ```text
 //!   tenants ──▶ Served::submit(Request)        admission control:
-//!                 │                            bounded queue, typed
-//!                 │  Coalescer (pure state     Rejected backpressure
-//!                 │  machine, tick-driven)
+//!                 │                            bounded queue, per-tenant
+//!                 │  Coalescer (pure state     quota, typed Rejected /
+//!                 │  machine, tick-driven,     QuotaExceeded backpressure
+//!                 │  per-tenant fair lanes)
 //!                 ▼
 //!            same-model batch ──▶ dispatch_batch: ONE pooled inference
 //!                 │               forward over the stacked [batch, ...]
@@ -31,9 +32,13 @@
 //! [`Engine::swap`](gqa_serve::Engine::swap) and
 //! [`Engine::refresh`](gqa_serve::Engine::refresh) race live traffic.
 //!
-//! * [`Coalescer`] — all batching policy (flush-by-size, flush-by-
-//!   deadline, model segregation, bounded admission) as a pure,
-//!   explicitly-ticked state machine.
+//! * [`Coalescer`] — all batching and admission policy (flush-by-size,
+//!   flush-by-deadline, model segregation, bounded admission, per-tenant
+//!   quotas, round-robin fair lanes) as a pure, explicitly-ticked state
+//!   machine — the single admission point for in-process callers, decode
+//!   steps and the `gqa-net` socket layer alike. `tests/fairness.rs`
+//!   pins its starvation bound: an item at lane depth `p` among `T`
+//!   tenants leaves within `(p + 1) · T` flushed items.
 //! * [`Served`] / [`ServedBuilder`] — the threaded shell: worker pool,
 //!   condvar rendezvous [`Ticket`]s, wall or virtual clock, graceful
 //!   drain on drop.
@@ -49,7 +54,9 @@
 //! * [`dispatch_batch`] — the single execution path (stack → one pooled
 //!   forward → slice) shared by the workers, the tests, and the benches.
 //! * [`LatencyHistogram`] — log-bucketed lock-free latency recording,
-//!   with honest interval quantiles ([`HistogramSnapshot`]).
+//!   with honest interval quantiles ([`HistogramSnapshot`]); per tenant
+//!   for service latency ([`Served::tenant_latency`]) and queue wait
+//!   ([`Served::queue_wait`]).
 //! * [`generate_trace`] — seeded Zipfian load (golden-trace pinned) for
 //!   reproducible serving benchmarks.
 //!
@@ -87,8 +94,6 @@ mod server;
 pub use batcher::{Batch, BatchConfig, Coalescer};
 pub use histogram::{bucket_bounds, bucket_of, HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use loadgen::{generate_trace, request_input, trace_fingerprint, LoadGenConfig, TraceEntry};
-#[allow(deprecated)] // compatibility re-export of the legacy callback alias
-pub use model::ForwardFn;
 pub use model::{DecodeState, ModelDecode, ModelForward, ModelSpec};
 pub use request::{ModelId, Rejected, Request, ServedError, TenantId};
 pub use server::{

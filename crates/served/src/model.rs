@@ -14,14 +14,6 @@ use std::sync::Arc;
 
 use gqa_tensor::{Graph, NodeId, Tensor};
 
-/// The legacy model-callback signature.
-#[deprecated(
-    since = "0.1.0",
-    note = "model forwards are the `ModelForward` trait now; closures still \
-            implement it via the blanket impl, so most call sites need no change"
-)]
-pub type ForwardFn = dyn Fn(&mut Graph<'_>, NodeId) -> NodeId + Send + Sync;
-
 /// A servable model's forward entry point.
 ///
 /// `forward` is handed an inference tape over the engine's shared

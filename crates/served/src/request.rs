@@ -60,6 +60,15 @@ impl std::error::Error for Rejected {}
 pub enum ServedError {
     /// Backpressure: the bounded admission queue is full.
     Rejected(Rejected),
+    /// Per-tenant backpressure: the tenant already has its quota of
+    /// requests queued ([`crate::BatchConfig::quota`]); other tenants
+    /// are still admitted.
+    QuotaExceeded {
+        /// Requests the tenant has queued (== `quota`).
+        queued: usize,
+        /// The configured per-tenant bound.
+        quota: usize,
+    },
     /// The request names a model index the server was not built with.
     UnknownModel(ModelId),
     /// The request names a tenant index outside the configured tenant
@@ -92,6 +101,12 @@ impl std::fmt::Display for ServedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServedError::Rejected(r) => write!(f, "{r}"),
+            ServedError::QuotaExceeded { queued, quota } => {
+                write!(
+                    f,
+                    "tenant quota exhausted ({queued}/{quota} requests queued)"
+                )
+            }
             ServedError::UnknownModel(m) => write!(f, "unknown model id {m}"),
             ServedError::UnknownTenant(t) => write!(f, "unknown tenant id {t}"),
             ServedError::BadShape {

@@ -2,11 +2,13 @@
 //! forward → respond.
 //!
 //! The policy brain is the [`Coalescer`] state machine (deterministic,
-//! tick-driven); this module adds the threading shell around it — a
+//! tick-driven, the single admission point with per-tenant fair lanes
+//! and quotas); this module adds the threading shell around it — a
 //! bounded submit path, a worker pool that executes flushed batches
-//! through one shared [`Session`], per-tenant latency histograms, and a
-//! clock that is either wall time (production) or a virtual counter the
-//! test advances by hand (every concurrency test is sleep-free).
+//! through one shared [`Session`], per-tenant latency and queue-wait
+//! histograms, and a clock that is either wall time (production) or a
+//! virtual counter the test advances by hand (every concurrency test is
+//! sleep-free).
 //!
 //! The execution core is [`dispatch_batch`], a free function: stack the
 //! coalesced inputs into one `[batch, ...]` tensor, run **one** pooled
@@ -106,7 +108,8 @@ pub fn dispatch_batch(
 /// Front-end configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServedConfig {
-    /// Coalescing policy (batch width, deadline ticks, queue bound).
+    /// Coalescing and admission policy (batch width, deadline ticks,
+    /// queue bound, per-tenant quota).
     pub batch: BatchConfig,
     /// Worker threads executing batches. `0` is allowed (nothing
     /// executes — useful to observe pure admission behaviour).
@@ -267,23 +270,6 @@ impl Ticket {
     pub fn try_consume(&mut self) -> Option<Result<Tensor, ServedError>> {
         self.slot.result.lock().expect("slot lock").take()
     }
-
-    /// Non-blocking check (legacy spelling).
-    ///
-    /// **Removal timeline:** every internal call site has migrated to
-    /// [`Ticket::try_consume`]; this shim exists only for external
-    /// callers and will be **deleted in the next breaking release**
-    /// (0.2.0) — switch now, the replacement is a drop-in rename with an
-    /// honest `&mut self` receiver.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_consume` (or `wait_timeout`): a `Some` return consumes \
-                the one-shot response, which the `&mut self` receivers make \
-                visible in the type; `try_take` will be removed in 0.2.0"
-    )]
-    pub fn try_take(&self) -> Option<Result<Tensor, ServedError>> {
-        self.slot.result.lock().expect("slot lock").take()
-    }
 }
 
 /// A decode step's checked-out session state plus the cell it must be
@@ -312,6 +298,8 @@ struct Job {
     input: Tensor,
     slot: Arc<Slot>,
     started: Instant,
+    /// The tick the job entered the queue, where its queue wait starts.
+    queued: u64,
     decode: Option<DecodeHandoff>,
 }
 
@@ -331,7 +319,8 @@ pub struct ServedStats {
     pub submitted: u64,
     /// Responses delivered.
     pub completed: u64,
-    /// Submissions refused by admission control.
+    /// Submissions refused by admission control (queue capacity or
+    /// tenant quota).
     pub rejected: u64,
     /// Coalesced batches executed.
     pub batches: u64,
@@ -383,9 +372,66 @@ struct Inner {
     shutdown: AtomicBool,
     counters: Counters,
     tenants: Vec<LatencyHistogram>,
+    /// Per-tenant queue waits in ticks, alongside the nanosecond
+    /// latency histograms in `tenants`.
+    waits: Vec<LatencyHistogram>,
 }
 
 impl Inner {
+    /// Admits one request into `queue` (`model` for a forward,
+    /// `models.len() + model` for a decode step) and wakes a worker.
+    fn enqueue(
+        &self,
+        queue: usize,
+        tenant: TenantId,
+        input: Tensor,
+        decode: Option<DecodeHandoff>,
+    ) -> Result<Ticket, ServedError> {
+        let slot = Arc::new(Slot::new());
+        let started = Instant::now();
+        let mut q = self.queue.lock().expect("queue lock");
+        let now = self.clock.now();
+        let job = Job {
+            tenant,
+            input,
+            slot: Arc::clone(&slot),
+            started,
+            queued: now,
+            decode,
+        };
+        // Read under the queue lock, where `Served::shutdown` flips it, so
+        // a job admitted here is always drained.
+        let admitted = if self.shutdown.load(Ordering::Acquire) {
+            Err((ServedError::ShuttingDown, job))
+        } else {
+            let admitted = q.submit(queue, tenant, job, now);
+            // Counted before the lock drops: a worker may execute the job
+            // (bumping `completed`) the instant it does, and stats() must
+            // never see completed > submitted.
+            let counter = match admitted {
+                Ok(()) => &self.counters.submitted,
+                Err(_) => &self.counters.rejected,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            admitted
+        };
+        drop(q);
+        match admitted {
+            Ok(()) => {
+                self.work.notify_one();
+                Ok(Ticket { slot })
+            }
+            Err((e, job)) => {
+                // The job never queued: a decode step's state goes
+                // straight back, so the session survives the refusal.
+                if let Some(handoff) = job.decode {
+                    handoff.check_in();
+                }
+                Err(e)
+            }
+        }
+    }
+
     /// Blocks until new work may exist. Virtual clocks wait for a
     /// notification (submit / advance / shutdown); wall clocks also wake
     /// at the next queued deadline so a lone request cannot stall past
@@ -405,7 +451,11 @@ impl Inner {
         }
     }
 
-    fn execute(&self, batch: Batch<Job>, pool: &mut BufferPool) {
+    /// Runs a batch that left the queue at tick `now`.
+    fn execute(&self, batch: Batch<Job>, now: u64, pool: &mut BufferPool) {
+        for job in &batch.items {
+            self.waits[job.tenant].record(now.saturating_sub(job.queued));
+        }
         if batch.model >= self.models.len() {
             return self.execute_decode(batch, pool);
         }
@@ -469,7 +519,7 @@ impl Inner {
 fn worker_loop(inner: &Inner) {
     let mut pool = BufferPool::new();
     loop {
-        let batch = {
+        let (batch, now) = {
             let mut q = inner.queue.lock().expect("queue lock");
             loop {
                 let now = inner.clock.now();
@@ -479,17 +529,17 @@ fn worker_loop(inner: &Inner) {
                     if q.ready(now) {
                         inner.work.notify_one();
                     }
-                    break Some(b);
+                    break (Some(b), now);
                 }
                 if inner.shutdown.load(Ordering::Acquire) {
                     // Graceful drain: everything admitted still executes.
-                    break q.drain();
+                    break (q.drain(), now);
                 }
                 q = inner.wait_for_work(q);
             }
         };
         match batch {
-            Some(b) => inner.execute(b, &mut pool),
+            Some(b) => inner.execute(b, now, &mut pool),
             None => return,
         }
     }
@@ -585,7 +635,11 @@ impl ServedBuilder {
             // Two queue families over one policy: queue `m` coalesces
             // model m's plain forwards, queue `models.len() + m` its
             // decode steps (forwards and steps never share a batch).
-            queue: Mutex::new(Coalescer::new(2 * self.models.len(), self.config.batch)),
+            queue: Mutex::new(Coalescer::new(
+                2 * self.models.len(),
+                self.config.tenants,
+                self.config.batch,
+            )),
             models: self.models,
             work: Condvar::new(),
             clock,
@@ -593,6 +647,9 @@ impl ServedBuilder {
             shutdown: AtomicBool::new(false),
             counters: Counters::default(),
             tenants: (0..self.config.tenants)
+                .map(|_| LatencyHistogram::new())
+                .collect(),
+            waits: (0..self.config.tenants)
                 .map(|_| LatencyHistogram::new())
                 .collect(),
         });
@@ -611,12 +668,12 @@ impl ServedBuilder {
 
 /// The running multi-tenant serving front-end.
 ///
-/// Submissions are admitted into a bounded queue, coalesced per model by
-/// the [`Coalescer`] policy, executed as single batched forwards through
-/// one shared [`Session`] (so [`Engine::swap`] / [`Engine::refresh`]
-/// retune live traffic), and answered through [`Ticket`]s. Dropping the
-/// server drains the queue gracefully — everything admitted executes —
-/// then joins the workers.
+/// Submissions are admitted into a bounded queue with per-tenant fair
+/// lanes and quotas, coalesced per model by the [`Coalescer`] policy,
+/// executed as single batched forwards through one shared [`Session`]
+/// (so [`Engine::swap`] / [`Engine::refresh`] retune live traffic), and
+/// answered through [`Ticket`]s. Dropping the server drains the queue
+/// gracefully — everything admitted executes — then joins the workers.
 pub struct Served {
     inner: Arc<Inner>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -642,6 +699,7 @@ impl Served {
     ///
     /// [`ServedError::UnknownModel`] / [`ServedError::UnknownTenant`] /
     /// [`ServedError::BadShape`] on validation failure,
+    /// [`ServedError::QuotaExceeded`] when the tenant is at its quota,
     /// [`ServedError::Rejected`] on backpressure,
     /// [`ServedError::ShuttingDown`] after the server started dropping.
     pub fn submit(&self, req: Request) -> Result<Ticket, ServedError> {
@@ -660,34 +718,7 @@ impl Served {
                 got: req.input.shape,
             });
         }
-        if inner.shutdown.load(Ordering::Acquire) {
-            return Err(ServedError::ShuttingDown);
-        }
-        let slot = Arc::new(Slot::new());
-        let job = Job {
-            tenant: req.tenant,
-            input: req.input,
-            slot: Arc::clone(&slot),
-            started: Instant::now(),
-            decode: None,
-        };
-        let mut q = inner.queue.lock().expect("queue lock");
-        match q.submit(req.model, job, inner.clock.now()) {
-            Ok(()) => {
-                // Count before releasing the lock: a worker may execute
-                // the job (bumping `completed`) the instant the lock
-                // drops, and stats() must never see completed > submitted.
-                inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                drop(q);
-                inner.work.notify_one();
-                Ok(Ticket { slot })
-            }
-            Err((rejected, _job)) => {
-                drop(q);
-                inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                Err(ServedError::Rejected(rejected))
-            }
-        }
+        inner.enqueue(req.model, req.tenant, req.input, None)
     }
 
     /// Submit and block for the response — the closed-loop client call.
@@ -773,28 +804,7 @@ impl Served {
         self.inner.clock.now()
     }
 
-    /// Retunes the coalescer's deadline bound (`max_wait`, in ticks) on
-    /// the live server — the adaptive-batching control knob: the network
-    /// layer's EWMA arrival-rate tracker lowers it under sparse traffic
-    /// (don't hold a lone request) and raises it under dense traffic
-    /// (batches fill by size first anyway). Returns the previous bound.
-    ///
-    /// Takes effect immediately for queued and future requests; workers
-    /// are woken because a lowered bound can make queued work
-    /// deadline-ready right now. Batching policy only — response bits
-    /// are independent of `max_wait` by the coalescing-invisibility
-    /// contract.
-    pub fn set_max_wait(&self, max_wait: u64) -> u64 {
-        let mut q = self.inner.queue.lock().expect("queue lock");
-        let prev = q.config().max_wait;
-        q.set_max_wait(max_wait);
-        drop(q);
-        self.inner.work.notify_all();
-        prev
-    }
-
-    /// The live coalescing policy (including any `max_wait` applied
-    /// through [`Served::set_max_wait`] since construction).
+    /// The coalescing and admission policy.
     #[must_use]
     pub fn batch_config(&self) -> BatchConfig {
         self.inner.queue.lock().expect("queue lock").config()
@@ -820,14 +830,6 @@ impl Served {
         self.inner.tenants.len()
     }
 
-    /// The per-request row shape of `model`, or `None` for an unknown
-    /// id — what a front door validates inputs against before paying
-    /// for admission.
-    #[must_use]
-    pub fn model_row_shape(&self, model: ModelId) -> Option<&[usize]> {
-        self.inner.models.get(model).map(ModelSpec::row_shape)
-    }
-
     /// Front-end + engine counters.
     #[must_use]
     pub fn stats(&self) -> ServedStats {
@@ -851,6 +853,20 @@ impl Served {
     #[must_use]
     pub fn tenant_latency(&self, tenant: TenantId) -> HistogramSnapshot {
         self.inner.tenants[tenant].snapshot()
+    }
+
+    /// Queue-wait snapshot for one tenant, in **ticks** (the histogram's
+    /// nanosecond buckets hold tick counts): how long each of the
+    /// tenant's requests and decode steps sat in the coalescer — the
+    /// fair-lane delay plus the `max_wait` deadline — recorded as its
+    /// batch leaves the queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tenant` is outside the configured tenant space.
+    #[must_use]
+    pub fn queue_wait(&self, tenant: TenantId) -> HistogramSnapshot {
+        self.inner.waits[tenant].snapshot()
     }
 
     /// Latency snapshot merged across every tenant.
@@ -916,7 +932,7 @@ impl Drop for Served {
             let _ = h.join();
         }
         // Workers drained and executed everything they could; anything
-        // still queued (a submit that raced the drain) fails loudly
+        // still queued (left behind by workers that died) fails loudly
         // instead of leaving waiters hanging.
         self.fail_queued();
     }
@@ -983,9 +999,11 @@ impl DecodeSession {
     ///
     /// [`ServedError::BadShape`] on input-shape mismatch,
     /// [`ServedError::StepPending`] while the previous step is in
-    /// flight, [`ServedError::Rejected`] on backpressure (the state is
-    /// checked back in — the session stays usable),
-    /// [`ServedError::ShuttingDown`] after the server started dropping.
+    /// flight, [`ServedError::QuotaExceeded`] / [`ServedError::Rejected`]
+    /// on backpressure (the step counts against the tenant's quota like
+    /// any request; the state is checked back in — the session stays
+    /// usable), [`ServedError::ShuttingDown`] after the server started
+    /// dropping.
     pub fn step(&self, input: Tensor) -> Result<Ticket, ServedError> {
         let inner = &*self.inner;
         let spec = &inner.models[self.model];
@@ -996,45 +1014,22 @@ impl DecodeSession {
                 got: input.shape,
             });
         }
-        if inner.shutdown.load(Ordering::Acquire) {
-            return Err(ServedError::ShuttingDown);
-        }
         let state = self
             .state
             .lock()
             .expect("decode state lock")
             .take()
             .ok_or(ServedError::StepPending)?;
-        let slot = Arc::new(Slot::new());
-        let job = Job {
-            tenant: self.tenant,
-            input,
-            slot: Arc::clone(&slot),
-            started: Instant::now(),
-            decode: Some(DecodeHandoff {
-                state,
-                home: Arc::clone(&self.state),
-            }),
+        let handoff = DecodeHandoff {
+            state,
+            home: Arc::clone(&self.state),
         };
-        let mut q = inner.queue.lock().expect("queue lock");
-        match q.submit(inner.models.len() + self.model, job, inner.clock.now()) {
-            Ok(()) => {
-                inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                drop(q);
-                inner.work.notify_one();
-                Ok(Ticket { slot })
-            }
-            Err((rejected, job)) => {
-                drop(q);
-                // The step never queued: check the state straight back in
-                // so the session survives backpressure.
-                if let Some(handoff) = job.decode {
-                    handoff.check_in();
-                }
-                inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                Err(ServedError::Rejected(rejected))
-            }
-        }
+        inner.enqueue(
+            inner.models.len() + self.model,
+            self.tenant,
+            input,
+            Some(handoff),
+        )
     }
 
     /// Resets the session to a fresh sequence (new empty decode state).

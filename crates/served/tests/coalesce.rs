@@ -90,6 +90,7 @@ fn flush_by_size_needs_no_clock() {
             max_batch: 4,
             max_wait: 1_000_000,
             capacity: 64,
+            ..BatchConfig::default()
         },
         1,
     );
@@ -130,6 +131,7 @@ fn flush_by_deadline_waits_for_the_scripted_tick() {
             max_batch: 16,
             max_wait: 5,
             capacity: 64,
+            ..BatchConfig::default()
         },
         1,
     );
@@ -174,6 +176,7 @@ fn models_are_segregated_into_their_own_batches() {
                 max_batch: 2,
                 max_wait: 1_000_000,
                 capacity: 64,
+                ..BatchConfig::default()
             },
             workers: 1,
             tenants: 1,
@@ -228,6 +231,7 @@ fn assert_invisible_over_trace(engine: Engine, tag: &str) {
                 max_batch: 3,
                 max_wait: 2,
                 capacity: 64,
+                ..BatchConfig::default()
             },
             workers: 2,
             tenants: cfg.tenants,
@@ -307,6 +311,7 @@ fn coalescing_is_invisible_across_a_mid_trace_swap() {
             max_batch: 2,
             max_wait: 1_000_000,
             capacity: 64,
+            ..BatchConfig::default()
         },
         1,
     );
@@ -400,6 +405,7 @@ fn coalescing_is_invisible_across_a_mid_trace_refresh() {
             max_batch: 2,
             max_wait: 1_000_000,
             capacity: 64,
+            ..BatchConfig::default()
         },
         1,
     );

@@ -90,6 +90,7 @@ fn responses_are_all_old_or_all_new_under_racing_swaps_and_refreshes() {
                 max_batch: THREADS,
                 max_wait: u64::MAX,
                 capacity: 1024,
+                ..BatchConfig::default()
             },
             workers: 2,
             tenants: THREADS,
@@ -159,6 +160,7 @@ fn bounded_queue_rejects_instead_of_growing() {
                 max_batch: 4,
                 max_wait: u64::MAX,
                 capacity: CAPACITY,
+                ..BatchConfig::default()
             },
             workers: 0, // nothing drains: pure admission behaviour
             tenants: 1,
@@ -220,6 +222,7 @@ fn drop_drains_admitted_requests_to_completion() {
                 max_batch: 16,
                 max_wait: u64::MAX,
                 capacity: 64,
+                ..BatchConfig::default()
             },
             workers: 1,
             tenants: 1,
@@ -313,6 +316,7 @@ fn served_is_shareable_by_reference() {
                     max_batch: 2,
                     max_wait: u64::MAX,
                     capacity: 16,
+                    ..BatchConfig::default()
                 },
                 workers: 1,
                 tenants: 2,

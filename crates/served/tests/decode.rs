@@ -218,6 +218,7 @@ fn decode_coalescing_is_invisible_across_sessions() {
                 max_batch: 2,
                 max_wait: 1_000_000,
                 capacity: 64,
+                ..BatchConfig::default()
             },
             workers: 2,
             tenants: 2,
@@ -364,6 +365,7 @@ fn backpressure_checks_the_state_back_in() {
                 max_batch: 16,
                 max_wait: 1_000_000,
                 capacity: 1,
+                ..BatchConfig::default()
             },
             workers: 0,
             tenants: 2,

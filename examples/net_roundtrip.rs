@@ -1,12 +1,12 @@
 //! The network layer end to end: a `NetServer` fronting the serving
 //! stack over real loopback sockets, a blocking `NetClient` round trip
 //! proven bit-identical to the in-process path, typed errors surviving
-//! the wire, weighted fair admission, and the Prometheus export.
+//! the wire, per-tenant fair admission, and the Prometheus export.
 //!
 //! Run with: `cargo run --release --example net_roundtrip`
 
 use gqa::funcs::NonLinearOp;
-use gqa::net::{FairConfig, NetClient, NetConfig, NetError, NetServer, RemoteError};
+use gqa::net::{NetClient, NetConfig, NetError, NetServer, RemoteError};
 use gqa::registry::Method;
 use gqa::serve::{EngineBuilder, OpPlan, OperatorPlan};
 use gqa::served::{BatchConfig, ModelSpec, Request, ServedBuilder, ServedConfig};
@@ -16,7 +16,9 @@ fn main() {
     // 1. The serving stack below the socket: an engine serving GELU
     //    through an 8-entry INT8 GQA-LUT (example-sized search budget),
     //    one matmul + LUT-GELU + row-softmax model, a coalescing
-    //    front-end with four tenants.
+    //    front-end with four tenants, each allowed 64 queued requests
+    //    in its own fair lane (round-robin batch filling, typed
+    //    QuotaExceeded past the quota).
     let base = OpPlan::new(Method::GqaRm).with_seed(7).with_budget(0.05);
     let engine = EngineBuilder::new(OperatorPlan::new().with(NonLinearOp::Gelu, base))
         .build()
@@ -40,6 +42,7 @@ fn main() {
                 max_batch: 16,
                 max_wait: 0,
                 capacity: 1024,
+                quota: 64,
             },
             workers: 2,
             tenants: TENANTS,
@@ -47,22 +50,10 @@ fn main() {
         })
         .build();
 
-    // 2. The network front door: bind an ephemeral loopback port with a
-    //    per-tenant admission quota and DRR weights (tenant 0 gets 4×
-    //    the release share of tenant 3 under contention).
-    let server = NetServer::spawn(
-        served,
-        "127.0.0.1:0",
-        NetConfig {
-            fair: FairConfig {
-                quota: 64,
-                quantum: 1,
-            },
-            weights: vec![4, 2, 1, 1],
-            ..NetConfig::default()
-        },
-    )
-    .expect("bind loopback");
+    // 2. The network front door: bind an ephemeral loopback port. Socket
+    //    requests go straight into the front-end's fair lanes.
+    let server =
+        NetServer::spawn(served, "127.0.0.1:0", NetConfig::default()).expect("bind loopback");
     println!("serving on {}", server.addr());
 
     // 3. A blocking client: the Hello handshake pins the protocol
@@ -106,7 +97,7 @@ fn main() {
 
     // 6. The observability surface: a Prometheus text export over the
     //    same wire — serving/engine/net counters plus per-tenant
-    //    latency and admission-wait histogram series.
+    //    latency and queue-wait histogram series.
     let report = client.stats().expect("stats");
     for line in report.lines().take(8) {
         println!("  {line}");
@@ -114,8 +105,8 @@ fn main() {
     println!("  ... ({} lines total)", report.lines().count());
 
     // 7. Drop order does the full shutdown dance: accept loop, the
-    //    admission pump (draining queued work with typed ShuttingDown),
-    //    the serving front-end, then the connection threads.
+    //    serving front-end (resolving every queued request), then the
+    //    connection threads.
     drop(client);
     drop(server);
     println!("clean shutdown");

@@ -47,6 +47,7 @@ fn main() {
                 max_batch: 16,
                 max_wait: 0,
                 capacity: 1024,
+                ..BatchConfig::default()
             },
             workers: 2,
             tenants: TENANTS,

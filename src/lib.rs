@@ -20,15 +20,15 @@
 //!   [`serve::Session`] handles, with an operator-level control plane
 //!   (`swap`/`refresh`/`stats`) and per-operator snapshot shards.
 //! * [`served`] — the multi-tenant serving front-end above the engine:
-//!   bounded admission, per-model request coalescing into single batched
-//!   forwards (bit-invisible to callers), per-tenant lock-free latency
-//!   histograms, and deterministic Zipfian load generation.
+//!   bounded admission with per-tenant quotas and round-robin fair
+//!   lanes, per-model request coalescing into single batched forwards
+//!   (bit-invisible to callers), per-tenant lock-free latency and
+//!   queue-wait histograms, and deterministic Zipfian load generation.
 //! * [`net`] — the network front door above the front-end: a
 //!   length-prefixed binary wire protocol over blocking TCP sockets
-//!   (thread-per-connection, no async runtime), deficit-round-robin
-//!   weighted fair admission with per-tenant quotas, EWMA-adaptive
-//!   batching deadlines, a blocking [`net::NetClient`], and the
-//!   `gqa-soak` load binary with Prometheus-text metric export.
+//!   (thread-per-connection, no async runtime) submitting straight into
+//!   [`served`], a blocking [`net::NetClient`], and the `gqa-soak` load
+//!   binary with Prometheus-text metric export.
 //! * [`quant`] — LSQ / power-of-two quantizers and integer-only pipeline glue.
 //! * [`tensor`] — minimal CPU tensor library with reverse-mode autodiff.
 //! * [`data`] — SynthScapes synthetic segmentation dataset + mIoU metrics.
