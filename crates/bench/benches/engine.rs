@@ -6,8 +6,8 @@
 //!
 //! * `session_dispatch` vs `raw_backend`: one tensor-level GELU sweep
 //!   through a `Session` (table lookup + hot-swap cell resolve + LUT
-//!   datapath) against the same artifact behind a bare `PwlBackend` —
-//!   the per-tensor cost of serving through the engine.
+//!   datapath) against the bare `build_datapath` sweep over the same
+//!   artifact — the per-tensor cost of serving through the engine.
 //! * `swap_cached`: a full `Engine::swap` retune where the artifact is a
 //!   registry hit — datapath instantiation + cell swap, no search.
 //! * `refresh_warm`: an `Engine::refresh` pass over unchanged shards —
@@ -17,9 +17,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use gqa_funcs::NonLinearOp;
-use gqa_models::PwlBackend;
 use gqa_registry::Method;
-use gqa_serve::{EngineBuilder, OpPlan, OperatorPlan};
+use gqa_serve::{build_datapath, EngineBuilder, OpPlan, OperatorPlan};
 use gqa_tensor::{UnaryBackend, UnaryKind};
 
 fn bench_engine(c: &mut Criterion) {
@@ -45,12 +44,12 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
 
-    // The same artifact served without the engine indirection.
-    let artifact = (*engine.artifact(NonLinearOp::Gelu).unwrap()).clone();
-    let raw = PwlBackend::from_luts(Some((artifact, base.scale)), None, None, None, None);
+    // The same artifact's datapath without the engine indirection.
+    let artifact = engine.artifact(NonLinearOp::Gelu).unwrap();
+    let raw = build_datapath(&artifact, NonLinearOp::Gelu, base.bits, base.scale);
     c.bench_function("engine/raw_backend_gelu_4096", |b| {
         b.iter(|| {
-            raw.eval_many_f32(UnaryKind::Gelu, black_box(&xs), &mut out);
+            raw.eval_batch_f32(black_box(&xs), &mut out);
             out[0]
         })
     });

@@ -5,8 +5,9 @@
 //! suites prove it); the deltas here are pure execution-layer cost: tape
 //! nodes, intermediate tensor materialization, and per-primitive sweeps
 //! that fusion eliminates. Pairs are measured with the exact backend and
-//! with an INT8 LUT backend (the paper's datapath), where the non-linear
-//! stages are cheap enough that the unfused assembly overhead dominates.
+//! with an engine session serving EXP and DIV through INT8 LUTs (the
+//! paper's datapath), where the non-linear stages are cheap enough that
+//! the unfused assembly overhead dominates.
 //!
 //! CI's bench gate runs with `--require fused/`, so this file going
 //! missing (or silently producing no entries) fails the build.
@@ -14,10 +15,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use gqa_bench::build_lut_budgeted;
 use gqa_funcs::NonLinearOp;
 use gqa_fxp::{IntRange, PowerOfTwoScale};
-use gqa_models::{Method, PwlBackend};
+use gqa_serve::{EngineBuilder, Method, OpPlan, OperatorPlan};
 use gqa_tensor::nn::LayerNorm;
 use gqa_tensor::{ExactBackend, FusedOp, Graph, ParamStore, Tensor, UnaryBackend};
 
@@ -64,11 +64,16 @@ fn bench_fused(c: &mut Criterion) {
     // --- Softmax through the INT8 LUT datapath (EXP + DIV replaced): the
     // non-linear stages are a few ns/element, so the unfused assembly's
     // tape/materialization cost is the dominant term fusion removes.
-    let exp_lut = build_lut_budgeted(Method::GqaRm, NonLinearOp::Exp, 8, 7, 0.05);
-    let div_lut = build_lut_budgeted(Method::GqaNoRm, NonLinearOp::Div, 8, 7, 0.05);
+    let plan = |method| OpPlan::new(method).with_seed(7).with_budget(0.05);
     let scale = PowerOfTwoScale::covering(9.0, IntRange::signed(8));
-    let lut_backend =
-        PwlBackend::from_luts(None, None, Some((exp_lut, scale)), Some(div_lut), None);
+    let lut_backend = EngineBuilder::new(
+        OperatorPlan::new()
+            .with(NonLinearOp::Exp, plan(Method::GqaRm).with_scale(scale))
+            .with(NonLinearOp::Div, plan(Method::GqaNoRm)),
+    )
+    .build()
+    .expect("engine build")
+    .session();
     let t_lut = logits(256, 64);
     c.bench_function("fused/softmax_lut_fused_256x64", |b| {
         b.iter(|| softmax_once(&lut_backend, black_box(&t_lut), true))

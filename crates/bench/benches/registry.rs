@@ -2,8 +2,8 @@
 //! registry rebuild for an identical key.
 //!
 //! The acceptance bar for the registry layer is that a repeated
-//! `PwlBackend::build` / `build_lut` with an identical `LutKey` performs
-//! zero genetic-search generations; these two entries make the resulting
+//! `get_or_build` with an identical `LutKey` performs zero
+//! genetic-search generations; these two entries make the resulting
 //! wall-clock gap (≥10×, in practice ≥1000×) part of the recorded bench
 //! trajectory.
 

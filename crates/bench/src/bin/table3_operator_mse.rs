@@ -8,14 +8,13 @@
 //! Run with: `cargo run -p gqa-bench --release --bin table3_operator_mse`
 //!
 //! Set `GQA_LUT_SNAPSHOT=<path>` to warm-start from (and refresh) a LUT
-//! artifact snapshot: the global registry loads it before the first build
-//! and this binary saves the merged registry back on exit, so a re-run
-//! performs zero search generations.
+//! artifact snapshot: the shared `gqa_bench::registry()` loads it before
+//! the first build and this binary saves the merged registry back on
+//! exit, so a re-run performs zero search generations.
 
 use gqa_bench::table::{sci, Table};
 use gqa_bench::{build_lut, mse_scale_average, wide_range_mse, Method};
 use gqa_funcs::NonLinearOp;
-use gqa_registry::LutRegistry;
 
 fn main() {
     println!("Table 3: Comparison of average MSE (INT8 LUT approximation)\n");
@@ -48,9 +47,10 @@ fn main() {
         "\nPaper reference (8-entry): NN-LUT 1.3e-3/1.2e-3/6.4e-4/2.7e-3/1.1e-2, \
          w/o RM 1.5e-4/3.1e-4/1.3e-4/7.8e-4/1.2e-3, w/ RM 9.4e-5/2.9e-4/1.2e-4/8.3e-4/1.7e-3"
     );
-    eprintln!("[table3] registry: {}", LutRegistry::global().stats());
+    let registry = gqa_bench::registry();
+    eprintln!("[table3] registry: {}", registry.stats());
     if let Ok(path) = std::env::var("GQA_LUT_SNAPSHOT") {
-        match LutRegistry::global().save_snapshot(&path) {
+        match registry.save_snapshot(&path) {
             Ok(()) => eprintln!("[table3] saved LUT snapshot to {path}"),
             Err(e) => eprintln!("[table3] failed to save snapshot {path}: {e}"),
         }

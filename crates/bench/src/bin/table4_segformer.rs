@@ -44,9 +44,8 @@ fn main() {
     let calib = harness.calibrate(&model, &ps);
 
     // One artifact registry shared by every per-row engine, so the rows
-    // share LUTs per (method, op) exactly as the global registry used to
-    // (and GQA_LUT_SNAPSHOT warm starts keep working).
-    let registry = gqa_bench::warm_shared_registry();
+    // share LUTs per (method, op) and GQA_LUT_SNAPSHOT warm starts work.
+    let registry = gqa_bench::registry();
 
     let replacements = [
         ReplaceSet::only(NonLinearOp::Exp),

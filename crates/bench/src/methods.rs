@@ -1,13 +1,12 @@
 //! Method wrappers and the §4.1 evaluation protocol that scores the LUTs.
 
 use gqa_funcs::NonLinearOp;
-use gqa_fxp::IntRange;
-use gqa_pwl::{eval, FxpPwl, MultiRangeLut, MultiRangeScaling, QuantAwareLut};
+use gqa_fxp::{IntRange, PowerOfTwoScale};
+use gqa_pwl::{eval, QuantAwareLut};
 pub use gqa_registry::Method;
+use gqa_serve::{build_datapath, OpDatapath, OpPlan};
 
-/// Builds (or fetches warm) the full-budget LUT for a table/figure row:
-/// the serving layer's plan spelling against the process-global registry,
-/// so every `GQA_LUT_SNAPSHOT` warm-start keeps working across binaries.
+/// Builds (or fetches warm) the full-budget LUT for a table/figure row.
 ///
 /// # Panics
 ///
@@ -17,13 +16,10 @@ pub fn build_lut(method: Method, op: NonLinearOp, entries: usize, seed: u64) -> 
     build_lut_budgeted(method, op, entries, seed, 1.0)
 }
 
-/// [`build_lut`] with a reduced search budget (unit tests / smoke rows).
-///
-/// The serving layer's one spelling of plan→artifact: an
-/// [`gqa_serve::OpPlan`] entry resolved through the process-global
-/// [`gqa_registry::LutRegistry`] — exactly what an
-/// `EngineBuilder`-owned registry does, so artifacts are bit-identical
-/// to the engine path and every `GQA_LUT_SNAPSHOT` warm-start is shared.
+/// [`build_lut`] with a reduced search budget (unit tests / smoke rows):
+/// the serving layer's [`OpPlan`] entry resolved through the shared
+/// [`crate::registry`], so artifacts are bit-identical to the ones an
+/// engine serves.
 ///
 /// # Panics
 ///
@@ -36,12 +32,12 @@ pub fn build_lut_budgeted(
     seed: u64,
     budget: f64,
 ) -> QuantAwareLut {
-    let spec = gqa_serve::OpPlan::new(method)
+    let spec = OpPlan::new(method)
         .with_entries(entries)
         .with_seed(seed)
         .with_budget(budget)
         .spec(op);
-    match gqa_registry::LutRegistry::global().get_or_build(&spec) {
+    match crate::registry().get_or_build(&spec) {
         Ok(lut) => (*lut).clone(),
         Err(e) => panic!("{e}"),
     }
@@ -79,18 +75,21 @@ pub fn mse_scale_average(lut: &QuantAwareLut, op: NonLinearOp) -> f64 {
 }
 
 /// Table 3 entry for the wide-range operators (DIV/RSQRT): the full
-/// multi-range FXP datapath evaluated on the 0.01 grid over the breakpoint
-/// interval (the paper's "Data Size" grid — 0.35 K / 0.36 K points).
+/// multi-range FXP datapath the engine serves at INT8, evaluated on the
+/// 0.01 grid over the breakpoint interval (the paper's "Data Size" grid —
+/// 0.35 K / 0.36 K points).
 #[must_use]
 pub fn wide_range_mse(lut: &QuantAwareLut, op: NonLinearOp) -> f64 {
-    let scaling = match op {
-        NonLinearOp::Div => MultiRangeScaling::div_paper(),
-        NonLinearOp::Rsqrt => MultiRangeScaling::rsqrt_paper(),
-        _ => panic!("wide_range_mse is for DIV/RSQRT, got {op}"),
+    // The input scale only matters to scale-dependent operators.
+    let OpDatapath::Wide(unit) = build_datapath(lut, op, 8, PowerOfTwoScale::new(0)) else {
+        panic!("wide_range_mse is for DIV/RSQRT, got {op}");
     };
-    let unit = MultiRangeLut::new(FxpPwl::new(lut, 8), scaling);
-    let (rn, rp) = op.default_range();
-    eval::mse_grid_fn(&|x| unit.eval_f64(x), &|x| op.eval(x), (rn, rp), 0.01)
+    eval::mse_grid_fn(
+        &|x| unit.eval_f64(x),
+        &|x| op.eval(x),
+        op.default_range(),
+        0.01,
+    )
 }
 
 #[cfg(test)]

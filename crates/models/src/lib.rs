@@ -14,12 +14,10 @@
 //!   KV-cached incremental path ([`DecoderLayer::step`]) bit-identical to
 //!   the full-prefix forward, plus a greedy-decode driver. The serving
 //!   crate's `DecodeSession` and the `decode/*` benches run on it.
-//! * [`PwlBackend`] — the legacy fixed bundle of INT8 pwl LUT datapaths.
-//!   New code serves models through `gqa_serve`: plan the operators with
-//!   an `OperatorPlan`, build an `Engine`, and hand its cloneable
-//!   `Session` (also a `UnaryBackend`) to the graph — the engine adds
-//!   per-operator hot swapping, owned registries, and sharded
-//!   persistence on top of the same bit-identical datapaths.
+//! * [`ReplaceSet`] — which operators a Table 4/5 row LUT-replaces.
+//!   [`ReplaceSet::to_plan`] turns it into a `gqa_serve::OperatorPlan`;
+//!   an `Engine` built from that plan hands out `Session`s, and a
+//!   session is the `UnaryBackend` the model graphs consume.
 //! * [`FinetuneHarness`] — the Table 4/5 protocol: FP pre-train →
 //!   INT8 (LSQ-PoT weight fake-quant) baseline → per-replacement
 //!   fine-tuning → mIoU on the SynthScapes validation split.
@@ -42,21 +40,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod decoder;
 mod efficientvit;
-pub mod luts;
+mod replace;
 mod segformer;
 mod train;
 
-pub use backend::{CalibrationRecorder, PwlBackend, ReplaceSet};
 pub use decoder::{argmax, DecoderConfig, DecoderLayer, TinyDecoder};
 pub use efficientvit::{EffVitConfig, EfficientVitLite};
-pub use gqa_registry::HotSwapBackend;
-#[cfg(feature = "legacy")]
-#[allow(deprecated)] // compatibility re-exports of the deprecated shims
-pub use luts::{build_lut, build_lut_budgeted, try_build_lut_budgeted};
-pub use luts::{LutBuildError, Method};
+pub use gqa_registry::{HotSwapBackend, LutBuildError, Method};
+pub use gqa_serve::CalibrationRecorder;
+pub use replace::ReplaceSet;
 pub use segformer::{SegConfig, SegformerLite};
 pub use train::{
     argmax_nchw, quantize_weights_pot, FinetuneHarness, FinetuneOutcome, SegModel, TrainConfig,

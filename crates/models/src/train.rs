@@ -11,10 +11,9 @@
 use gqa_data::{ConfusionMatrix, SceneConfig, SynthScapes, IGNORE_LABEL, NUM_CLASSES};
 use gqa_fxp::IntRange;
 use gqa_quant::calibrate_minmax;
+use gqa_serve::CalibrationRecorder;
 use gqa_tensor::optim::Adam;
 use gqa_tensor::{ExactBackend, Graph, NodeId, ParamStore, Tensor, UnaryBackend};
-
-use crate::backend::CalibrationRecorder;
 
 /// A segmentation model: anything the harness can train and evaluate.
 pub trait SegModel {

@@ -222,7 +222,16 @@ fn accept_loop(
             .name("gqa-net-conn".into())
             .spawn(move || connection_loop(&shared, &stream))
             .expect("spawn connection thread");
-        conns.lock().expect("conns lock").push(handle);
+        let mut conns = conns.lock().expect("conns lock");
+        // Join the connection threads that have exited, so the server
+        // holds one handle per open connection rather than one per
+        // connection it ever accepted. A panicked thread's error is
+        // ignored, as in `Drop`: the panic hook has already reported it,
+        // and the other connections keep being served.
+        for exited in conns.extract_if(.., |h| h.is_finished()) {
+            let _ = exited.join();
+        }
+        conns.push(handle);
     }
 }
 
@@ -423,6 +432,9 @@ fn render_report(shared: &Shared) -> String {
 mod tests {
     use super::*;
 
+    use gqa_serve::{EngineBuilder, OperatorPlan};
+    use gqa_served::{ModelSpec, ServedBuilder};
+
     /// The front-door types cross thread boundaries by design.
     #[test]
     fn net_types_are_send_sync() {
@@ -430,5 +442,33 @@ mod tests {
         assert_send_sync::<NetServer>();
         assert_send_sync::<NetConfig>();
         assert_send_sync::<NetStats>();
+    }
+
+    /// A long-lived server keeps no handle for a connection that has
+    /// closed: each accept joins the exited connection threads first.
+    #[test]
+    fn accept_joins_exited_connection_threads() {
+        let served = ServedBuilder::new(EngineBuilder::new(OperatorPlan::new()).build().unwrap())
+            .with_model(ModelSpec::new("id", &[1], |_, x| x))
+            .build();
+        let server = NetServer::spawn(served, "127.0.0.1:0", NetConfig::default()).unwrap();
+        // The accept loop has taken `accepted` connections and every
+        // tracked connection thread has exited.
+        let settled = |accepted| {
+            let conns = server.conns.lock().unwrap();
+            server.stats().connections == accepted
+                && !conns.is_empty()
+                && conns.iter().all(std::thread::JoinHandle::is_finished)
+        };
+        for accepted in 1..=32 {
+            drop(TcpStream::connect(server.addr()).unwrap());
+            while !settled(accepted) {
+                std::thread::yield_now();
+            }
+        }
+        // The last connection's handle, plus at most one more whose
+        // thread had not yet exited when the last accept ran.
+        let held = server.conns.lock().unwrap().len();
+        assert!(held <= 2, "{held} connection handles held after 32 closed");
     }
 }

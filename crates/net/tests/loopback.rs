@@ -328,8 +328,9 @@ fn wire_decode_steps_match_the_direct_model_loop() {
     let mut client = NetClient::connect(server.addr(), "decode").unwrap();
     let session_id = client.open_decode(0, 0).unwrap();
 
-    // Identically-planned reference engine: the global LUT registry
-    // hands both the same artifacts.
+    // Identically-planned reference engine. Each engine owns a private
+    // registry; the artifacts match because seeded builds are
+    // deterministic.
     let reference = DecoderModel::new(11);
     let ref_session = EngineBuilder::new(OperatorPlan::new().with(
         NonLinearOp::Gelu,

@@ -1,10 +1,9 @@
 //! # gqa-registry — the LUT artifact registry
 //!
-//! LUT compilation as a first-class, cached pipeline. Before this layer
-//! existed, every `PwlBackend::build` and `build_lut` call re-ran the full
-//! genetic search (or NN-LUT training) even when an identical artifact had
-//! just been produced; the registry makes artifacts **content-addressed**
-//! and turns repeat builds into cache hits:
+//! LUT compilation as a first-class, cached pipeline. A cold build runs
+//! the full genetic search (or NN-LUT training); the registry makes
+//! artifacts **content-addressed** and turns repeat builds into cache
+//! hits:
 //!
 //! ```text
 //!   LutSpec ── key() ──▶ LutKey ── LutRegistry::get_or_build ─▶ Arc<QuantAwareLut>
@@ -19,8 +18,9 @@
 //!   configuration, so config changes change artifact identity.
 //! * [`LutRegistry`] — interior-mutable cache: single-flight build
 //!   deduplication (concurrent requests for one key run one build), LRU
-//!   capacity bounds, hit/miss/build-time [`RegistryStats`], and a
-//!   process-wide [`LutRegistry::global`] instance.
+//!   capacity bounds, and hit/miss/build-time [`RegistryStats`]. This
+//!   crate keeps no process-wide instance: each owner (an engine, a
+//!   bench binary) creates its own and shares it behind an `Arc`.
 //! * [`LutBuildError`] — typed validation failure (zero/out-of-domain
 //!   budget, unsupported entry count) instead of a panic deep in the
 //!   search.
@@ -29,8 +29,8 @@
 //!   [`LutRegistry::snapshot_json`] / [`LutRegistry::load_snapshot_json`]
 //!   pair and the per-key-filtered
 //!   [`LutRegistry::snapshot_json_where`]) with bit-exact f64
-//!   round-tripping, so bench binaries warm-start (`GQA_LUT_SNAPSHOT`
-//!   env var) and the serving engine shards its store per operator.
+//!   round-tripping, so bench binaries warm-start from a saved file and
+//!   the serving engine shards its store per operator.
 //! * [`HotSwapBackend`] — an atomically replaceable serving backend, so a
 //!   live model graph hops between exact math and freshly compiled LUT
 //!   datapaths without rebuilding the graph.

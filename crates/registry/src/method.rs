@@ -62,6 +62,13 @@ mod tests {
     use super::*;
 
     #[test]
+    fn labels() {
+        assert_eq!(Method::NnLut.label(), "NN-LUT");
+        assert_eq!(Method::GqaRm.to_string(), "GQA-LUT w/ RM");
+        assert_eq!(Method::ALL.len(), 3);
+    }
+
+    #[test]
     fn idents_round_trip() {
         for m in Method::ALL {
             assert_eq!(Method::from_ident(m.ident()), Some(m));

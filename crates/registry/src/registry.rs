@@ -3,7 +3,7 @@
 //! hit/miss/build-time statistics.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use gqa_pwl::QuantAwareLut;
@@ -113,7 +113,7 @@ struct Inner {
 ///   counters; bench binaries print them.
 ///
 /// Interior-mutable: every method takes `&self`, so one registry can be
-/// shared freely (e.g. the process-wide [`LutRegistry::global`]).
+/// shared freely (e.g. behind an `Arc` across engines).
 pub struct LutRegistry {
     inner: Mutex<Inner>,
     ready: Condvar,
@@ -164,38 +164,6 @@ impl LutRegistry {
             capacity: Some(capacity),
             ..Self::new()
         }
-    }
-
-    /// The process-wide shared registry (the `build_lut`-family free
-    /// functions in `gqa-models` route through it). On first access,
-    /// warm-starts from the JSON snapshot named by the
-    /// `GQA_LUT_SNAPSHOT` environment variable, when set and readable.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use gqa_registry::{LutRegistry, LutSpec, Method};
-    /// use gqa_funcs::NonLinearOp;
-    ///
-    /// let registry = LutRegistry::global();
-    /// let spec = LutSpec::new(Method::GqaRm, NonLinearOp::Exp, 8, 123).with_budget(0.05);
-    /// let first = registry.get_or_build(&spec).unwrap();   // cold: runs the search
-    /// let again = registry.get_or_build(&spec).unwrap();   // warm: zero generations
-    /// assert!(std::sync::Arc::ptr_eq(&first, &again));
-    /// // Every process sees the same instance.
-    /// assert!(std::ptr::eq(LutRegistry::global(), registry));
-    /// ```
-    #[must_use]
-    pub fn global() -> &'static LutRegistry {
-        static GLOBAL: OnceLock<LutRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let reg = LutRegistry::new();
-            if let Ok(path) = std::env::var("GQA_LUT_SNAPSHOT") {
-                // A missing/stale/corrupt snapshot must never poison startup.
-                let _ = reg.load_snapshot(&path);
-            }
-            reg
-        })
     }
 
     /// Number of finished artifacts currently cached.

@@ -2,11 +2,10 @@
 //! compiled artifact is served through, and the single-operator
 //! [`UnaryBackend`] the engine installs into each hot-swap cell.
 //!
-//! The construction here is the canonical spelling (extracted from the
-//! original `PwlBackend::build`, which now routes through it): scale-
-//! dependent operators instantiate the quant-aware LUT at a power-of-two
-//! input scale; the wide-range DIV/RSQRT intermediates run the paper's
-//! multi-range FXP datapath.
+//! [`build_datapath`] is the one way from a compiled artifact to a
+//! datapath: scale-dependent operators instantiate the quant-aware LUT at
+//! a power-of-two input scale; the wide-range DIV/RSQRT intermediates run
+//! the paper's multi-range FXP datapath.
 
 use gqa_funcs::{BatchEval, NonLinearOp};
 use gqa_fxp::{IntRange, PowerOfTwoScale};
@@ -52,9 +51,6 @@ impl OpDatapath {
 /// Instantiates the serving datapath for `op` from its compiled artifact:
 /// `bits` fixes the quantized input range / FXP storage width, `scale`
 /// the power-of-two input scale (scale-dependent operators only).
-///
-/// This is bit-compatible with the historical `PwlBackend::build` wiring
-/// at `bits = 8` — the deprecated shims delegate here.
 #[must_use]
 pub fn build_datapath(
     artifact: &QuantAwareLut,

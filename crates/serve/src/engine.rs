@@ -105,7 +105,7 @@ impl From<SnapshotError> for EngineError {
 /// By default the engine owns a fresh private [`LutRegistry`]; pass a
 /// shared one with [`EngineBuilder::with_registry`] when several engines
 /// (or an engine and other registry users) should share one artifact
-/// cache. Neither case touches `LutRegistry::global()`.
+/// cache.
 #[derive(Debug)]
 pub struct EngineBuilder {
     plan: OperatorPlan,
@@ -331,8 +331,7 @@ impl Engine {
     }
 
     /// The artifact registry this engine resolves through — owned by the
-    /// engine (or shared via [`EngineBuilder::with_registry`]), never the
-    /// process-global instance.
+    /// engine, or shared via [`EngineBuilder::with_registry`].
     #[must_use]
     pub fn registry(&self) -> &LutRegistry {
         &self.inner.registry

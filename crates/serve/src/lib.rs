@@ -1,10 +1,7 @@
 //! # gqa-serve — the unified serving engine
 //!
 //! One typed surface for "serve this model with this op→method/precision
-//! plan". Before this layer the workspace exposed LUT serving through
-//! scattered entry points — `build_lut*` free functions, the process-global
-//! `LutRegistry::global()`, and per-callsite `HotSwapBackend` wiring; the
-//! engine replaces all of that with a single data flow:
+//! plan", as a single data flow:
 //!
 //! ```text
 //!   OperatorPlan ──▶ EngineBuilder::build()
@@ -26,18 +23,18 @@
 //!   [`NonLinearOp`]s are LUT-served and, per operator, the construction
 //!   [`Method`], entry count, serving integer precision, RNG seed, search
 //!   budget, and power-of-two input scale.
-//! * [`Engine`] — owns the [`LutRegistry`] (no process-global required),
-//!   wires one [`HotSwapBackend`](gqa_registry::HotSwapBackend) per
-//!   planned operator, and is the control plane: [`Engine::swap`]
-//!   retunes a single operator under every live session,
-//!   [`Engine::refresh`] picks up artifacts rebuilt by other processes
-//!   without a restart.
+//! * [`Engine`] — owns its [`LutRegistry`] (or shares one passed to
+//!   [`EngineBuilder::with_registry`]), wires one
+//!   [`HotSwapBackend`](gqa_registry::HotSwapBackend) per planned
+//!   operator, and is the control plane: [`Engine::swap`] retunes a
+//!   single operator under every live session, [`Engine::refresh`]
+//!   picks up artifacts rebuilt by other processes without a restart.
 //! * [`Session`] — a cheap cloneable serving handle implementing
 //!   [`UnaryBackend`](gqa_tensor::UnaryBackend); hand `&session` to
 //!   `Graph::new` / the fine-tune harness exactly where an
-//!   `ExactBackend` or `PwlBackend` used to go. Sessions share the
-//!   engine's swap cells, so they observe retunes immediately — while the
-//!   hot-swap contract keeps every in-flight tensor on a single datapath.
+//!   `ExactBackend` would go. Sessions share the engine's swap cells, so
+//!   they observe retunes immediately — while the hot-swap contract
+//!   keeps every in-flight tensor on a single datapath.
 //! * **Sharded persistence** — [`EngineBuilder::with_snapshot_dir`]
 //!   points the engine at a directory of per-operator snapshot files
 //!   (`lut-<op>.json`); builds warm-start from them, [`Engine::save_shards`]

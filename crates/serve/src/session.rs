@@ -7,9 +7,8 @@ use gqa_tensor::{BufferPool, EvalMode, ExactBackend, Graph, UnaryBackend, UnaryK
 use crate::engine::{kind_index, EngineInner};
 
 /// A cheap cloneable serving handle: implements
-/// [`UnaryBackend`], so it plugs in wherever an `ExactBackend` or the
-/// historical `PwlBackend` went (`Graph::new(&session)`, the fine-tune
-/// harness, …).
+/// [`UnaryBackend`], so it plugs in wherever an `ExactBackend` goes
+/// (`Graph::new(&session)`, the fine-tune harness, …).
 ///
 /// Dispatch is lock-free on the session side: planned kinds route through
 /// the engine's per-operator hot-swap cells (a swap retunes every live

@@ -61,6 +61,27 @@ fn unplanned_kinds_are_exact_and_planned_kinds_are_lut_served() {
 }
 
 #[test]
+fn div_and_rsqrt_are_served_through_the_multirange_datapath() {
+    let wide = OpPlan::new(Method::GqaNoRm).with_seed(6).with_budget(0.1);
+    let session = EngineBuilder::new(
+        OperatorPlan::new()
+            .with(NonLinearOp::Div, wide)
+            .with(NonLinearOp::Rsqrt, wide),
+    )
+    .build()
+    .unwrap()
+    .session();
+    // Inputs inside and well outside the pwl core's interval, so both the
+    // direct and the pre-scaled sub-ranges are exercised.
+    for x in [0.7, 1.5, 3.0, 10.0, 50.0] {
+        let recip = session.eval(UnaryKind::Recip, x);
+        assert!((recip - 1.0 / x).abs() < 0.15, "recip {x}: {recip}");
+        let rsqrt = session.eval(UnaryKind::Rsqrt, x);
+        assert!((rsqrt - 1.0 / x.sqrt()).abs() < 0.2, "rsqrt {x}: {rsqrt}");
+    }
+}
+
+#[test]
 fn plan_validation_is_typed_and_upfront() {
     // Unservable operator.
     let err = EngineBuilder::new(OperatorPlan::new().with(NonLinearOp::Silu, base_plan()))

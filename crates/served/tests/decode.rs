@@ -144,8 +144,9 @@ fn decode_session_is_prefix_equivalent_on_a_lut_engine() {
         .build();
     let session = served.open_decode(0, 0).unwrap();
 
-    // Reference: a second engine with the identical plan (the global LUT
-    // registry hands both the same artifacts) driving the model directly.
+    // Reference: a second engine with the identical plan driving the
+    // model directly. Each engine owns a private registry; the artifacts
+    // match because seeded builds are deterministic.
     let reference = DecoderModel::new(11);
     let ref_session = lut_engine(7).session();
     let mut ref_caches = reference.model.new_caches(MAX_LEN, &mut BufferPool::new());

@@ -1,23 +1,45 @@
 //! Integration: the paper's headline comparison — NN-LUT vs GQA-LUT w/o RM
 //! vs GQA-LUT w/ RM — holds at reduced budget.
 
+use std::sync::OnceLock;
+
 use gqa::funcs::NonLinearOp;
-use gqa::fxp::IntRange;
+use gqa::fxp::{IntRange, PowerOfTwoScale};
 use gqa::pwl::eval;
 use gqa::pwl::QuantAwareLut;
 use gqa::registry::{LutRegistry, Method};
-use gqa::serve::OpPlan;
+use gqa::serve::{build_datapath, OpDatapath, OpPlan};
 
 /// The comparison's one LUT spelling: a serve-layer plan entry resolved
-/// through the process-global registry (shared across the tests in this
-/// binary), at the suite's reduced budget.
+/// through a registry shared across the tests in this binary, at the
+/// suite's reduced budget.
 fn build_lut(method: Method, op: NonLinearOp) -> QuantAwareLut {
+    static REGISTRY: OnceLock<LutRegistry> = OnceLock::new();
     let spec = OpPlan::new(method)
         .with_entries(8)
         .with_seed(7)
         .with_budget(0.25)
         .spec(op);
-    (*LutRegistry::global().get_or_build(&spec).unwrap()).clone()
+    (*REGISTRY
+        .get_or_init(LutRegistry::new)
+        .get_or_build(&spec)
+        .unwrap())
+    .clone()
+}
+
+/// Table 3's DIV/RSQRT protocol: the INT8 multi-range datapath the engine
+/// serves, scored on the 0.01 grid over the operator's range.
+fn wide_range_mse(method: Method, op: NonLinearOp) -> f64 {
+    let lut = build_lut(method, op);
+    let OpDatapath::Wide(unit) = build_datapath(&lut, op, 8, PowerOfTwoScale::new(0)) else {
+        panic!("{op} is not a wide-range operator");
+    };
+    eval::mse_grid_fn(
+        &|x| unit.eval_f64(x),
+        &|x| op.eval(x),
+        op.default_range(),
+        0.01,
+    )
 }
 
 fn avg_quantized_mse(method: Method, op: NonLinearOp) -> f64 {
@@ -60,7 +82,7 @@ fn rm_fixes_large_scales() {
     let op = NonLinearOp::Gelu;
     let range = IntRange::signed(8);
     let clip = Some(op.default_range());
-    let s = gqa::fxp::PowerOfTwoScale::new(0);
+    let s = PowerOfTwoScale::new(0);
     let mse_at_s0 = |method: Method| {
         let lut = build_lut(method, op);
         let inst = lut.instantiate(s, range);
@@ -85,36 +107,8 @@ fn nn_lut_wide_range_disadvantage() {
     // Table 3's DIV/RSQRT rows: NN-LUT (trained over the wide input range,
     // then INT8-converted) trails GQA-LUT by an order of magnitude.
     for op in [NonLinearOp::Div, NonLinearOp::Rsqrt] {
-        let nn = {
-            let lut = build_lut(Method::NnLut, op);
-            let scaling = match op {
-                NonLinearOp::Div => gqa::pwl::MultiRangeScaling::div_paper(),
-                _ => gqa::pwl::MultiRangeScaling::rsqrt_paper(),
-            };
-            let unit =
-                gqa::pwl::MultiRangeLut::new(gqa::pwl::FxpPwl::new(&lut, 8), scaling.clone());
-            eval::mse_grid_fn(
-                &|x| unit.eval_f64(x),
-                &|x| op.eval(x),
-                op.default_range(),
-                0.01,
-            )
-        };
-        let gqa_mse = {
-            let lut = build_lut(Method::GqaNoRm, op);
-            let scaling = match op {
-                NonLinearOp::Div => gqa::pwl::MultiRangeScaling::div_paper(),
-                _ => gqa::pwl::MultiRangeScaling::rsqrt_paper(),
-            };
-            let unit =
-                gqa::pwl::MultiRangeLut::new(gqa::pwl::FxpPwl::new(&lut, 8), scaling.clone());
-            eval::mse_grid_fn(
-                &|x| unit.eval_f64(x),
-                &|x| op.eval(x),
-                op.default_range(),
-                0.01,
-            )
-        };
+        let nn = wide_range_mse(Method::NnLut, op);
+        let gqa_mse = wide_range_mse(Method::GqaNoRm, op);
         assert!(
             gqa_mse * 3.0 < nn,
             "{op}: GQA ({gqa_mse:.2e}) should beat NN-LUT ({nn:.2e}) by at least 3x"

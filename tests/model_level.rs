@@ -6,10 +6,10 @@ use std::sync::Arc;
 use gqa::funcs::NonLinearOp;
 use gqa::models::{
     CalibrationRecorder, EffVitConfig, EfficientVitLite, FinetuneHarness, HotSwapBackend, Method,
-    PwlBackend, ReplaceSet, SegConfig, SegformerLite, TrainConfig,
+    ReplaceSet, SegConfig, SegformerLite, TrainConfig,
 };
 use gqa::registry::LutRegistry;
-use gqa::serve::{EngineBuilder, OpPlan};
+use gqa::serve::{EngineBuilder, OpPlan, OperatorPlan};
 use gqa::tensor::{
     BufferPool, EvalMode, ExactBackend, Graph, ParamStore, Tensor, UnaryBackend, UnaryKind,
 };
@@ -34,8 +34,7 @@ fn forward_pooled(
 }
 
 /// One registry shared by every engine in this binary, so repeated specs
-/// run zero extra search generations (the role `LutRegistry::global()`
-/// used to play for `PwlBackend::build`).
+/// run zero extra search generations.
 fn shared_registry() -> std::sync::Arc<LutRegistry> {
     static SHARED: std::sync::OnceLock<std::sync::Arc<LutRegistry>> = std::sync::OnceLock::new();
     std::sync::Arc::clone(SHARED.get_or_init(|| std::sync::Arc::new(LutRegistry::new())))
@@ -114,22 +113,15 @@ fn efficientvit_trains_with_hswish_div_luts() {
 
 #[test]
 fn backend_substitution_changes_only_replaced_ops() {
-    let lut = (*shared_registry()
-        .get_or_build(
-            &OpPlan::new(Method::GqaRm)
-                .with_seed(9)
-                .with_budget(0.05)
-                .spec(NonLinearOp::Gelu),
-        )
-        .unwrap())
-    .clone();
-    let backend = PwlBackend::from_luts(
-        Some((lut, gqa::fxp::PowerOfTwoScale::new(-5))),
-        None,
-        None,
-        None,
-        None,
-    );
+    let gelu = OpPlan::new(Method::GqaRm)
+        .with_seed(9)
+        .with_budget(0.05)
+        .with_scale(gqa::fxp::PowerOfTwoScale::new(-5));
+    let backend = EngineBuilder::new(OperatorPlan::new().with(NonLinearOp::Gelu, gelu))
+        .with_registry(shared_registry())
+        .build()
+        .expect("engine build")
+        .session();
     // GELU approximated, everything else bit-exact with the reference.
     assert_ne!(
         backend.eval(UnaryKind::Gelu, 0.731),
