@@ -282,7 +282,6 @@ fn bench_batched_decode(c: &mut Criterion) {
             },
             workers: 2,
             tenants: SESSIONS,
-            ..ServedConfig::default()
         })
         .build();
 

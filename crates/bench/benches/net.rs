@@ -66,7 +66,6 @@ fn served(max_wait: u64) -> Served {
             },
             workers: 2,
             tenants: TENANTS,
-            ..ServedConfig::default()
         })
         .build()
 }

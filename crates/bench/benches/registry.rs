@@ -19,7 +19,7 @@ fn spec() -> LutSpec {
 
 fn bench_registry(c: &mut Criterion) {
     // Cold: every iteration starts from an empty registry, so the full
-    // island genetic search runs each time.
+    // genetic search runs each time.
     c.bench_function("registry/gelu_build_cold", |b| {
         b.iter_batched(
             LutRegistry::new,

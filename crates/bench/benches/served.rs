@@ -117,7 +117,6 @@ fn bench_zipf_load(c: &mut Criterion) {
             },
             workers: 2,
             tenants: THREADS,
-            ..ServedConfig::default()
         })
         .build();
 

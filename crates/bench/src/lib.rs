@@ -2,8 +2,7 @@
 //!
 //! Shared machinery for the `table*` / `figure*` binaries that regenerate
 //! every table and figure of the paper. Each binary prints the same rows /
-//! series the paper reports; see `EXPERIMENTS.md` at the repository root
-//! for the paper-vs-measured record.
+//! series the paper reports.
 //!
 //! The harness is deterministic: every search/training run is seeded, so
 //! two invocations print identical numbers.

@@ -57,7 +57,8 @@ pub struct SearchConfig {
     /// Number of generations `T`. Paper default: 500.
     pub generations: usize,
     /// Decimal (fractional) bit-width λ of slopes and intercepts.
-    /// Paper default: 5.
+    /// Paper default: 5. Fitness always scores the λ-rounded pwl, so the
+    /// evolution sees the FXP conversion error it will ship with.
     pub lambda: u32,
     /// Fitness grid step. Paper: 0.01.
     pub grid_step: f64,
@@ -71,24 +72,10 @@ pub struct SearchConfig {
     pub seed: u64,
     /// Tournament size for selection. Paper: 3.
     pub tournament: usize,
-    /// Whether fitness scores the λ-rounded pwl (quantization-aware
-    /// fitness). On by default: with it off, the FXP conversion of slopes
-    /// and intercepts adds a post-hoc error floor the evolution never saw.
-    pub lambda_aware: bool,
     /// Whether the generation's best individual survives unchanged
     /// (elitism). Not spelled out in Algorithm 1; enabled by default as the
     /// standard stabilizer, ablatable via [`SearchConfig::with_elitism`].
     pub elitism: bool,
-    /// Number of demes (islands) in the island-model search. `1` (the
-    /// default) reproduces the single-population Algorithm 1 bit-exactly;
-    /// larger values evolve independent populations with periodic elite
-    /// migration. Each island draws from its own deterministic RNG stream,
-    /// so results are reproducible for a fixed `(seed, islands)` pair.
-    pub islands: usize,
-    /// Generations between elite migrations in the island model (ring
-    /// topology: island `i`'s best replaces one individual of island
-    /// `i + 1 mod N`). Ignored when `islands == 1`.
-    pub migration_interval: usize,
 }
 
 impl SearchConfig {
@@ -122,10 +109,7 @@ impl SearchConfig {
             segment_fit: SegmentFit::LeastSquares,
             seed: 0xC0FFEE,
             tournament: 3,
-            lambda_aware: true,
             elitism: true,
-            islands: 1,
-            migration_interval: 20,
         }
     }
 
@@ -181,13 +165,6 @@ impl SearchConfig {
         self
     }
 
-    /// Sets the number of breakpoints `N_b` directly.
-    #[must_use]
-    pub fn with_breakpoints(mut self, nb: usize) -> Self {
-        self.num_breakpoints = nb;
-        self
-    }
-
     /// Sets the fitness mode.
     #[must_use]
     pub fn with_fitness(mut self, fitness: FitnessMode) -> Self {
@@ -213,53 +190,6 @@ impl SearchConfig {
     #[must_use]
     pub fn with_elitism(mut self, on: bool) -> Self {
         self.elitism = on;
-        self
-    }
-
-    /// Enables or disables λ-aware (FXP-rounded) fitness.
-    #[must_use]
-    pub fn with_lambda_aware(mut self, on: bool) -> Self {
-        self.lambda_aware = on;
-        self
-    }
-
-    /// Sets the number of islands (demes). `1` reproduces the
-    /// single-population search bit-exactly.
-    ///
-    /// Each island evolves on its own deterministic RNG stream (island 0
-    /// uses the seed itself, so `islands = 1` is the PR-1 engine), with
-    /// ring elite migration every
-    /// [`with_migration_interval`](SearchConfig::with_migration_interval)
-    /// generations.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use gqa_genetic::{GeneticSearch, SearchConfig};
-    /// use gqa_funcs::NonLinearOp;
-    ///
-    /// // Small budget for the doctest; the paper uses T = 500.
-    /// let cfg = SearchConfig::for_op(NonLinearOp::Gelu)
-    ///     .with_generations(15)
-    ///     .with_population(12)
-    ///     .with_seed(7)
-    ///     .with_islands(3)
-    ///     .with_migration_interval(5);
-    /// assert_eq!(cfg.islands, 3);
-    /// let result = GeneticSearch::new(cfg).run();
-    /// assert_eq!(result.pwl().num_entries(), 8);
-    /// // Same seed + island count ⇒ bit-identical rerun.
-    /// ```
-    #[must_use]
-    pub fn with_islands(mut self, islands: usize) -> Self {
-        self.islands = islands;
-        self
-    }
-
-    /// Sets the elite-migration interval (in generations).
-    #[must_use]
-    pub fn with_migration_interval(mut self, interval: usize) -> Self {
-        self.migration_interval = interval;
         self
     }
 
@@ -314,11 +244,6 @@ impl SearchConfig {
             self.data_size() >= 2,
             "fitness grid too coarse for the range"
         );
-        assert!(self.islands >= 1, "need at least one island");
-        assert!(
-            self.migration_interval >= 1,
-            "migration interval must be at least 1 generation"
-        );
     }
 
     /// Order-stable content hash of every field that affects the search
@@ -360,10 +285,7 @@ impl SearchConfig {
         });
         h.eat(self.seed);
         h.eat(self.tournament as u64);
-        h.eat(u64::from(self.lambda_aware));
         h.eat(u64::from(self.elitism));
-        h.eat(self.islands as u64);
-        h.eat(self.migration_interval as u64);
         h.finish()
     }
 }

@@ -198,9 +198,9 @@ impl FitnessEvaluator {
     ///
     /// The squared-error accumulation is deliberately the *sequential*
     /// sum, not the SIMD reduction used by `gqa_pwl::eval::MseGrid`: the
-    /// island-model golden tests (`tests/islands.rs`) pin `best_mse` bit
-    /// patterns captured from the pre-island engine, and those depend on
-    /// this exact summation order. Do not "vectorize" this loop.
+    /// golden tests (`tests/golden.rs`) pin `best_mse` bit patterns
+    /// captured from the first engine, and those depend on this exact
+    /// summation order. Do not "vectorize" this loop.
     #[must_use]
     pub fn mse(&self, pwl: &Pwl) -> f64 {
         const CHUNK: usize = 256;

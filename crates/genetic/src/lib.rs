@@ -6,9 +6,12 @@
 //! * [`SearchConfig`] — all hyper-parameters, with [`SearchConfig::for_op`]
 //!   reproducing Table 1 exactly (`N_b = 7`, `N_p = 50`, `θ_c = 0.7`,
 //!   `θ_m = 0.2`, `T = 500`, `λ = 5`, per-op ranges and RM settings).
-//! * [`GeneticSearch`] — Algorithm 1: population init, grid-MSE fitness
-//!   (step 0.01), segment-swap crossover, mutation, 3-way tournament
-//!   selection, and the final FXP conversion of slopes/intercepts.
+//! * [`GeneticSearch`] — Algorithm 1: population init, λ-aware grid-MSE
+//!   fitness (step 0.01), segment-swap crossover, mutation, 3-way
+//!   tournament selection, and the final FXP conversion of
+//!   slopes/intercepts. Population scoring shards across a persistent
+//!   worker pool when there is enough work and more than one CPU; the
+//!   scores, and so every result bit, match the serial sweep.
 //! * [`mutation`] — both mutation operators: the baseline Gaussian noise
 //!   ("GQA-LUT w/o RM") and the Rounding Mutation of Algorithm 2
 //!   ("GQA-LUT w/ RM"), which *images FXP conversion as mutation* so the
@@ -36,7 +39,8 @@
 //! Forwarded to `gqa-pwl`: fitness scoring sweeps the sorted grid
 //! through the wide-lane segment kernels. Search results are identical
 //! bit for bit with the feature on or off — the golden tests in
-//! `tests/islands.rs` are run both ways in CI.
+//! `tests/golden.rs` are run both ways in CI, and again on one CPU
+//! (`taskset -c 0`), which forces the serial scoring sweep.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -44,12 +48,11 @@
 pub mod config;
 mod fitness;
 pub mod mutation;
-#[cfg(feature = "parallel")]
 mod pool;
 mod search;
 mod selection;
 
 pub use config::{FitnessMode, MutationKind, SearchConfig};
 pub use fitness::FitnessEvaluator;
-pub use search::{GeneticSearch, IslandRun, SearchResult};
+pub use search::{GeneticSearch, SearchResult};
 pub use selection::tournament_select;

@@ -1,11 +1,11 @@
-//! The persistent scoring pool (`parallel` feature).
+//! The persistent scoring pool.
 //!
-//! Earlier revisions spawned scoped OS threads *per generation*; at the
-//! paper's T = 500 that is 500 × W spawns per search. The pool here is
-//! spawned once per [`crate::IslandRun`] and fed scoring jobs over a
-//! channel, so the per-generation cost is one channel round-trip per
-//! chunk. Workers are plain `std::thread` — jobs own `Arc` handles to the
-//! population and scorer, so no scoped lifetimes are needed.
+//! The pool is spawned once per [`crate::GeneticSearch::run`] and fed
+//! scoring jobs over a channel, so the per-generation cost is one channel
+//! round-trip per chunk rather than W thread spawns (500 × W per search
+//! at the paper's T = 500). Workers are plain `std::thread` — jobs own
+//! `Arc` handles to the population and scorer, so no scoped lifetimes are
+//! needed.
 //!
 //! Determinism: a job scores a contiguous index range and the results are
 //! written back by range start, so the assembled score vector is identical

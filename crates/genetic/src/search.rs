@@ -1,19 +1,12 @@
-//! Algorithm 1: the genetic piece-wise linear approximation search, run as
-//! a multi-deme island model.
+//! Algorithm 1: the genetic piece-wise linear approximation search.
 //!
-//! The search is organized as `islands` independent populations (demes),
-//! each with its own deterministic RNG stream derived from the config
-//! seed. Every [`SearchConfig::migration_interval`] generations the best
-//! individual of island `i` migrates into island `i + 1 mod N` (ring
-//! topology), which keeps demes loosely coupled while letting good
-//! breakpoint sets spread. With `islands = 1` (the default) the whole
-//! machinery degenerates to the paper's single-population Algorithm 1 and
-//! is **bit-exact** with it: island 0's RNG stream *is* the config seed.
+//! One population evolves on one RNG stream seeded from
+//! [`SearchConfig::seed`], so a search is fully determined by its config.
 //!
-//! Population scoring is offloaded to a persistent worker pool (under the
-//! `parallel` feature) that is spawned once per run and amortized across
-//! all generations and islands, replacing the per-generation thread
-//! spawning of earlier revisions.
+//! Population scoring is offloaded to a persistent worker pool that is
+//! spawned once per run, on the first generation with enough work, and
+//! amortized across all generations. Scores are written back by index, so
+//! the pooled sweep is bit-identical to the serial one.
 
 use std::sync::Arc;
 
@@ -27,15 +20,13 @@ use gqa_pwl::{eval, Pwl, QuantAwareLut};
 use crate::config::{FitnessMode, MutationKind, SearchConfig};
 use crate::fitness::FitnessEvaluator;
 use crate::mutation::{gaussian_mutation, rounding_mutation};
+use crate::pool::ScoringPool;
 use crate::selection::tournament_select;
 
-#[cfg(feature = "parallel")]
-use crate::pool::ScoringPool;
-
-/// The genetic search engine (Algorithm 1, island-model generalization).
+/// The genetic search engine (Algorithm 1).
 ///
-/// Deterministic given the configured `(seed, islands)`. See the crate
-/// docs for an end-to-end example.
+/// Deterministic given the configured seed. See the crate docs for an
+/// end-to-end example.
 pub struct GeneticSearch {
     config: SearchConfig,
     scorer: Arc<Scorer>,
@@ -47,7 +38,6 @@ pub struct GeneticSearch {
 pub(crate) struct Scorer {
     fitness: FitnessMode,
     lambda: u32,
-    lambda_aware: bool,
     evaluator: FitnessEvaluator,
     // Per-scale dequantized grids for QuantAwareAverage fitness, hoisted
     // out of the scoring loop: the codes and reference values depend only
@@ -67,13 +57,7 @@ impl Scorer {
     /// Scores one individual per the configured fitness mode.
     pub(crate) fn score(&self, breakpoints: &[f64]) -> f64 {
         match self.fitness {
-            FitnessMode::PlainGrid => {
-                if self.lambda_aware {
-                    self.evaluator.fitness_fxp(breakpoints, self.lambda).1
-                } else {
-                    self.evaluator.fitness(breakpoints).1
-                }
-            }
+            FitnessMode::PlainGrid => self.evaluator.fitness_fxp(breakpoints, self.lambda).1,
             FitnessMode::QuantAwareAverage => {
                 let pwl = self.evaluator.derive_pwl(breakpoints);
                 let lut = match QuantAwareLut::new(pwl, self.lambda) {
@@ -109,13 +93,6 @@ impl Scorer {
             }
         }
     }
-
-    /// Grid size of the underlying evaluator (work-size heuristic input;
-    /// consulted by the parallel scoring pool only).
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-    pub(crate) fn data_size(&self) -> usize {
-        self.evaluator.data_size()
-    }
 }
 
 impl std::fmt::Debug for GeneticSearch {
@@ -125,19 +102,6 @@ impl std::fmt::Debug for GeneticSearch {
             .field("evaluator", &self.scorer.evaluator)
             .finish()
     }
-}
-
-/// The deterministic per-island RNG stream: island 0 *is* the config seed
-/// (single-island runs are bit-exact with the pre-island engine); higher
-/// islands get decorrelated streams through a splitmix64 finalizer.
-fn island_seed(seed: u64, island: usize) -> u64 {
-    if island == 0 {
-        return seed;
-    }
-    let mut z = seed ^ (island as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl GeneticSearch {
@@ -194,7 +158,6 @@ impl GeneticSearch {
         let scorer = Arc::new(Scorer {
             fitness: config.fitness,
             lambda: config.lambda,
-            lambda_aware: config.lambda_aware,
             evaluator,
             qaa_grids,
         });
@@ -207,312 +170,175 @@ impl GeneticSearch {
         &self.config
     }
 
-    /// Test-only access to the shared scorer (used by the pool tests, so
-    /// it is dead code in a serial test build).
+    /// Test-only access to the shared scorer (used by the pool tests).
     #[cfg(test)]
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
     pub(crate) fn scorer_for_tests(&self) -> &Arc<Scorer> {
         &self.scorer
-    }
-
-    /// Converts the search into a resumable run: populations initialized,
-    /// zero generations executed. Drive it with [`IslandRun::step`] (one
-    /// generation across all islands) and close with [`IslandRun::finish`].
-    #[must_use]
-    pub fn into_run(self) -> IslandRun {
-        IslandRun::new(self.config, self.scorer)
     }
 
     /// Runs the full T-generation evolution and returns the best LUT.
     #[must_use]
     pub fn run(self) -> SearchResult {
-        let mut run = self.into_run();
-        while !run.is_done() {
-            run.step();
-        }
-        run.finish()
-    }
-}
-
-/// One deme: an independent population with its own RNG stream.
-struct Island {
-    population: Vec<Vec<f64>>,
-    rng: StdRng,
-    /// Best individual of the most recently scored generation (used for
-    /// migration; refreshed every [`IslandRun::step`]).
-    best: Vec<f64>,
-    best_fitness: f64,
-}
-
-/// A resumable island-model evolution: populations, per-island RNG
-/// streams, and the persistent scoring pool live here between generations.
-///
-/// Obtained from [`GeneticSearch::into_run`]; callers that do not need
-/// generation-level control use [`GeneticSearch::run`].
-pub struct IslandRun {
-    config: SearchConfig,
-    scorer: Arc<Scorer>,
-    islands: Vec<Island>,
-    generation: usize,
-    history: Vec<f64>,
-    #[cfg(feature = "parallel")]
-    pool: Option<ScoringPool>,
-    /// Scratch buffer reused across generations for fitness values.
-    scores: Vec<f64>,
-}
-
-impl std::fmt::Debug for IslandRun {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IslandRun")
-            .field("islands", &self.islands.len())
-            .field("generation", &self.generation)
-            .field("of", &self.config.generations)
-            .finish()
-    }
-}
-
-impl IslandRun {
-    fn new(config: SearchConfig, scorer: Arc<Scorer>) -> Self {
+        let Self { config, scorer } = self;
+        let mut rng = StdRng::seed_from_u64(config.seed);
         let (rn, rp) = config.range;
-        let islands = (0..config.islands)
-            .map(|i| {
-                let mut rng = StdRng::seed_from_u64(island_seed(config.seed, i));
-                // Line 1: random FP32 breakpoint population.
-                let population: Vec<Vec<f64>> = (0..config.population)
-                    .map(|_| {
-                        let mut p: Vec<f64> = (0..config.num_breakpoints)
-                            .map(|_| rng.gen_range(rn..rp))
-                            .collect();
-                        p.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                        p
-                    })
+        // Line 1: random FP32 breakpoint population.
+        let mut population: Vec<Vec<f64>> = (0..config.population)
+            .map(|_| {
+                let mut p: Vec<f64> = (0..config.num_breakpoints)
+                    .map(|_| rng.gen_range(rn..rp))
                     .collect();
-                Island {
-                    population,
-                    rng,
-                    best: Vec::new(),
-                    best_fitness: f64::INFINITY,
-                }
+                p.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+                p
             })
             .collect();
-        let history = Vec::with_capacity(config.generations);
-        Self {
-            config,
+        let mut scoring = Scoring {
             scorer,
-            islands,
-            generation: 0,
-            history,
-            #[cfg(feature = "parallel")]
             pool: None,
             scores: Vec::new(),
-        }
-    }
+        };
+        let mut history = Vec::with_capacity(config.generations);
 
-    /// Generations executed so far.
-    #[must_use]
-    pub fn generation(&self) -> usize {
-        self.generation
-    }
-
-    /// Whether the configured generation budget is exhausted.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.generation >= self.config.generations
-    }
-
-    /// Best plain-grid fitness per executed generation (global best across
-    /// islands; monotone-ish descent trace).
-    #[must_use]
-    pub fn history(&self) -> &[f64] {
-        &self.history
-    }
-
-    /// Best fitness seen in the most recent generation, if any.
-    #[must_use]
-    pub fn best_fitness(&self) -> Option<f64> {
-        self.history.last().copied()
-    }
-
-    /// Executes one generation on every island (lines 2–19 of Algorithm 1
-    /// per deme), then ring-migrates elites when the interval elapses.
-    /// Returns the generation's global best fitness.
-    pub fn step(&mut self) -> f64 {
-        let cfg = self.config.clone();
-        let mut generation_best = f64::INFINITY;
-
-        for idx in 0..self.islands.len() {
+        for _ in 0..config.generations {
             // Lines 9–16: stochastic crossover and mutation, in place.
-            {
-                let island = &mut self.islands[idx];
-                let population = &mut island.population;
-                let rng = &mut island.rng;
-                for i in 0..population.len() {
-                    let rand_c: f64 = rng.gen_range(0.0..1.0);
-                    let rand_m: f64 = rng.gen_range(0.0..1.0);
-                    if rand_c < cfg.crossover_prob && population.len() > 1 {
-                        // Line 11: random partner j ≠ i.
-                        let j = loop {
-                            let j = rng.gen_range(0..population.len());
-                            if j != i {
-                                break j;
-                            }
-                        };
-                        // Line 12: swap a random contiguous segment.
-                        let nb = cfg.num_breakpoints;
-                        let a = rng.gen_range(0..nb);
-                        let b = rng.gen_range(a..nb) + 1;
-                        // Split-borrow the two individuals.
-                        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-                        let (left, right) = population.split_at_mut(hi);
-                        let (pi, pj) = (&mut left[lo], &mut right[0]);
-                        for t in a..b {
-                            std::mem::swap(&mut pi[t], &mut pj[t]);
-                        }
-                        pi.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
-                        pj.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
-                    }
-                    if rand_m < cfg.mutation_prob {
-                        // Line 15: M(P_i, θ_r).
-                        match cfg.mutation {
-                            MutationKind::Gaussian { std } => {
-                                gaussian_mutation(&mut population[i], std, cfg.range, rng);
-                            }
-                            MutationKind::Rounding => {
-                                rounding_mutation(
-                                    &mut population[i],
-                                    cfg.rounding_step_prob,
-                                    cfg.mutate_range,
-                                    rng,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
+            vary(&config, &mut population, &mut rng);
 
             // Lines 3–8 + 18: fitness, then 3-size tournament selection
             // onto the next generation (with optional elitism).
-            self.score_island(idx);
-            let island = &mut self.islands[idx];
-            let fitness_now = &self.scores;
-            let best_idx = fitness_now
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite fitness"))
-                .map(|(i, _)| i)
-                .expect("non-empty population");
-            island.best = island.population[best_idx].clone();
-            island.best_fitness = fitness_now[best_idx];
-            generation_best = generation_best.min(island.best_fitness);
+            let fitness_now = scoring.score(&mut population);
+            let best_idx = argmin(fitness_now);
+            history.push(fitness_now[best_idx]);
 
-            let mut next: Vec<Vec<f64>> = Vec::with_capacity(cfg.population);
-            if cfg.elitism {
-                next.push(island.population[best_idx].clone());
+            let mut next: Vec<Vec<f64>> = Vec::with_capacity(config.population);
+            if config.elitism {
+                next.push(population[best_idx].clone());
             }
-            while next.len() < cfg.population {
-                let w = tournament_select(fitness_now, cfg.tournament, &mut island.rng);
-                next.push(island.population[w].clone());
+            while next.len() < config.population {
+                let w = tournament_select(fitness_now, config.tournament, &mut rng);
+                next.push(population[w].clone());
             }
-            island.population = next;
+            population = next;
         }
 
-        self.history.push(generation_best);
-        self.generation += 1;
-
-        // Elite migration on the ring (deterministic, draws no RNG): the
-        // immigrant replaces the last tournament-selected slot, never the
-        // elitism slot at index 0.
-        if self.islands.len() > 1
-            && self
-                .generation
-                .is_multiple_of(self.config.migration_interval)
-        {
-            let migrants: Vec<Vec<f64>> = self.islands.iter().map(|is| is.best.clone()).collect();
-            let n = self.islands.len();
-            for (i, migrant) in migrants.into_iter().enumerate() {
-                let dest = &mut self.islands[(i + 1) % n];
-                let last = dest.population.len() - 1;
-                dest.population[last] = migrant;
-            }
-        }
-
-        generation_best
-    }
-
-    /// Scores island `idx`'s population into `self.scores` (ordered by
-    /// individual index). With the `parallel` feature and enough work the
-    /// persistent pool shards the population across workers; results are
-    /// written back by index, so the output is identical to the serial
-    /// sweep.
-    fn score_island(&mut self, idx: usize) {
-        let n = self.islands[idx].population.len();
-        self.scores.clear();
-        self.scores.resize(n, 0.0);
-
-        #[cfg(feature = "parallel")]
-        {
-            // Only shard when there is enough work to amortize the channel
-            // round-trip: the default paper config (N_p = 50 × 800-point
-            // grid) qualifies.
-            let work = n * self.scorer.data_size();
-            let avail = std::thread::available_parallelism().map_or(1, usize::from);
-            let threads = avail.min(n / 8).min(8);
-            if threads > 1 && work >= 20_000 {
-                let pool = self
-                    .pool
-                    .get_or_insert_with(|| ScoringPool::spawn(avail.min(8)));
-                // Hand the population to the workers as shared ownership,
-                // then take it back (the pool drops its clones once every
-                // chunk is scored).
-                let shared = Arc::new(std::mem::take(&mut self.islands[idx].population));
-                pool.score_into(&self.scorer, &shared, threads, &mut self.scores);
-                self.islands[idx].population =
-                    Arc::try_unwrap(shared).unwrap_or_else(|arc| (*arc).clone());
-                return;
-            }
-        }
-
-        for (out, p) in self.scores.iter_mut().zip(&self.islands[idx].population) {
-            *out = self.scorer.score(p);
-        }
-    }
-
-    /// Line 20: scores the final populations and returns the global best
-    /// individual as the finished FXP artifact.
-    #[must_use]
-    pub fn finish(mut self) -> SearchResult {
-        let mut best: Option<(f64, Vec<f64>)> = None;
-        for idx in 0..self.islands.len() {
-            self.score_island(idx);
-            let (best_idx, fit) = self
-                .scores
-                .iter()
-                .copied()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite fitness"))
-                .expect("non-empty population");
-            let better = match &best {
-                Some((f, _)) => fit < *f,
-                None => true,
-            };
-            if better {
-                best = Some((fit, self.islands[idx].population[best_idx].clone()));
-            }
-        }
-        let (_, best_breakpoints) = best.expect("at least one island");
+        // Line 20: score the final population and keep its best individual.
+        let best_idx = argmin(scoring.score(&mut population));
+        let best_breakpoints = population.swap_remove(best_idx);
 
         // Lines 21–22: derive K*, B* and round to FXP λ.
-        let pwl = self.scorer.evaluator.derive_pwl(&best_breakpoints);
-        let lut = QuantAwareLut::new(pwl, self.config.lambda).expect("valid pwl");
-        let best_mse = self.scorer.evaluator.mse(lut.pwl());
+        let evaluator = &scoring.scorer.evaluator;
+        let pwl = evaluator.derive_pwl(&best_breakpoints);
+        let lut = QuantAwareLut::new(pwl, config.lambda).expect("valid pwl");
+        let best_mse = evaluator.mse(lut.pwl());
 
         SearchResult {
-            config: self.config,
+            config,
             lut,
             best_breakpoints,
             best_mse,
-            history: self.history,
+            history,
         }
+    }
+}
+
+/// Lines 9–16 of Algorithm 1: per individual, a segment-swap crossover
+/// with a random partner (probability `θ_c`) and a mutation `M(P_i, θ_r)`
+/// (probability `θ_m`).
+fn vary(cfg: &SearchConfig, population: &mut [Vec<f64>], rng: &mut StdRng) {
+    for i in 0..population.len() {
+        let rand_c: f64 = rng.gen_range(0.0..1.0);
+        let rand_m: f64 = rng.gen_range(0.0..1.0);
+        if rand_c < cfg.crossover_prob && population.len() > 1 {
+            // Line 11: random partner j ≠ i.
+            let j = loop {
+                let j = rng.gen_range(0..population.len());
+                if j != i {
+                    break j;
+                }
+            };
+            // Line 12: swap a random contiguous segment.
+            let nb = cfg.num_breakpoints;
+            let a = rng.gen_range(0..nb);
+            let b = rng.gen_range(a..nb) + 1;
+            // Split-borrow the two individuals.
+            let (lo, hi) = if i < j { (i, j) } else { (j, i) };
+            let (left, right) = population.split_at_mut(hi);
+            let (pi, pj) = (&mut left[lo], &mut right[0]);
+            for t in a..b {
+                std::mem::swap(&mut pi[t], &mut pj[t]);
+            }
+            pi.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
+            pj.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
+        }
+        if rand_m < cfg.mutation_prob {
+            // Line 15: M(P_i, θ_r).
+            match cfg.mutation {
+                MutationKind::Gaussian { std } => {
+                    gaussian_mutation(&mut population[i], std, cfg.range, rng);
+                }
+                MutationKind::Rounding => {
+                    rounding_mutation(
+                        &mut population[i],
+                        cfg.rounding_step_prob,
+                        cfg.mutate_range,
+                        rng,
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Index of the first minimum fitness.
+fn argmin(fitness: &[f64]) -> usize {
+    fitness
+        .iter()
+        .enumerate()
+        .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite fitness"))
+        .map(|(i, _)| i)
+        .expect("non-empty population")
+}
+
+/// Population scoring for one run: the shared scorer, the persistent
+/// pool (spawned on first use) and a score buffer reused across
+/// generations.
+struct Scoring {
+    scorer: Arc<Scorer>,
+    pool: Option<ScoringPool>,
+    scores: Vec<f64>,
+}
+
+impl Scoring {
+    /// Scores `population`, returning one fitness per individual in index
+    /// order. With enough work and more than one CPU the pool shards the
+    /// population across workers; results are written back by index, so
+    /// the output is identical to the serial sweep.
+    fn score(&mut self, population: &mut Vec<Vec<f64>>) -> &[f64] {
+        let n = population.len();
+        self.scores.clear();
+        self.scores.resize(n, 0.0);
+
+        // Only shard when there is enough work to amortize the channel
+        // round-trip: the default paper config (N_p = 50 × 800-point
+        // grid) qualifies.
+        let work = n * self.scorer.evaluator.data_size();
+        let avail = std::thread::available_parallelism().map_or(1, usize::from);
+        let threads = avail.min(n / 8).min(8);
+        if threads > 1 && work >= 20_000 {
+            let pool = self
+                .pool
+                .get_or_insert_with(|| ScoringPool::spawn(avail.min(8)));
+            // Hand the population to the workers as shared ownership,
+            // then take it back (the pool drops its clones once every
+            // chunk is scored).
+            let shared = Arc::new(std::mem::take(population));
+            pool.score_into(&self.scorer, &shared, threads, &mut self.scores);
+            *population = Arc::try_unwrap(shared).unwrap_or_else(|arc| (*arc).clone());
+        } else {
+            for (out, p) in self.scores.iter_mut().zip(population.iter()) {
+                *out = self.scorer.score(p);
+            }
+        }
+        &self.scores
     }
 }
 
@@ -674,53 +500,5 @@ mod tests {
             .with_fitness(FitnessMode::QuantAwareAverage);
         let r = GeneticSearch::new(cfg).run();
         assert!(r.best_mse().is_finite());
-    }
-
-    #[test]
-    fn stepwise_run_matches_one_shot() {
-        let one_shot = GeneticSearch::new(quick(NonLinearOp::Gelu)).run();
-        let mut run = GeneticSearch::new(quick(NonLinearOp::Gelu)).into_run();
-        let mut steps = 0;
-        while !run.is_done() {
-            run.step();
-            steps += 1;
-        }
-        assert_eq!(steps, 60);
-        let resumed = run.finish();
-        assert_eq!(one_shot.breakpoints(), resumed.breakpoints());
-        assert_eq!(one_shot.best_mse(), resumed.best_mse());
-        assert_eq!(one_shot.history(), resumed.history());
-    }
-
-    #[test]
-    fn island_streams_are_decorrelated() {
-        assert_eq!(island_seed(42, 0), 42);
-        assert_ne!(island_seed(42, 1), island_seed(42, 2));
-        assert_ne!(island_seed(42, 1), island_seed(43, 1));
-    }
-
-    #[test]
-    fn multi_island_runs_and_is_deterministic() {
-        let cfg = || {
-            quick(NonLinearOp::Gelu)
-                .with_generations(40)
-                .with_islands(3)
-                .with_migration_interval(10)
-        };
-        let a = GeneticSearch::new(cfg()).run();
-        let b = GeneticSearch::new(cfg()).run();
-        assert_eq!(a.breakpoints(), b.breakpoints());
-        assert_eq!(a.best_mse().to_bits(), b.best_mse().to_bits());
-        assert_eq!(a.history(), b.history());
-    }
-
-    #[test]
-    fn more_islands_never_hurt_much() {
-        // The global best over 3 islands is at least as good as the worst
-        // single run would suggest; mainly this guards the plumbing (the
-        // best individual must actually be selected across demes).
-        let single = GeneticSearch::new(quick(NonLinearOp::Gelu)).run();
-        let multi = GeneticSearch::new(quick(NonLinearOp::Gelu).with_islands(3)).run();
-        assert!(multi.best_mse() <= single.best_mse() * 2.0);
     }
 }

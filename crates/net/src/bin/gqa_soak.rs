@@ -51,16 +51,20 @@ impl Default for Args {
     }
 }
 
-/// Parses `3s`, `250ms`, or `2m`.
+/// Parses `<digits><unit>` with unit `ms`, `s` or `m` (`250ms`, `3s`,
+/// `2m`). A duration too long to set a deadline with is rejected.
 fn parse_duration(s: &str) -> Result<Duration, String> {
-    let (digits, unit): (String, String) = s.chars().partition(|c| c.is_ascii_digit());
+    let (digits, unit) = s.split_at(s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len()));
     let n: u64 = digits.parse().map_err(|_| format!("bad duration: {s}"))?;
-    match unit.as_str() {
-        "ms" => Ok(Duration::from_millis(n)),
-        "s" | "" => Ok(Duration::from_secs(n)),
-        "m" => Ok(Duration::from_secs(n * 60)),
-        _ => Err(format!("bad duration unit in: {s} (use ms, s, or m)")),
-    }
+    let too_long = || format!("duration too long: {s}");
+    let d = match unit {
+        "ms" => Duration::from_millis(n),
+        "s" => Duration::from_secs(n),
+        "m" => Duration::from_secs(n.checked_mul(60).ok_or_else(too_long)?),
+        _ => return Err(format!("bad duration unit in: {s} (use ms, s, or m)")),
+    };
+    Instant::now().checked_add(d).ok_or_else(too_long)?;
+    Ok(d)
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -152,7 +156,6 @@ fn main() {
             },
             workers: 2,
             tenants: args.tenants,
-            ..ServedConfig::default()
         })
         .build();
     let server =
@@ -239,5 +242,23 @@ fn main() {
     if report.is_empty() || done == 0 {
         eprintln!("gqa-soak: FAILED — empty export or zero completed requests");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_duration_takes_digits_then_one_unit() {
+        assert_eq!(parse_duration("250ms"), Ok(Duration::from_millis(250)));
+        assert_eq!(parse_duration("3s"), Ok(Duration::from_secs(3)));
+        assert_eq!(parse_duration("2m"), Ok(Duration::from_secs(120)));
+        for bad in ["", "3", "s3", "1m30s", "1m5", "3 s", "-3s", "3h"] {
+            assert!(parse_duration(bad).is_err(), "{bad:?} must be rejected");
+        }
+        // `n * 60` overflows u64, and u64::MAX seconds overflows a deadline.
+        assert!(parse_duration(&format!("{}m", u64::MAX / 60 + 1)).is_err());
+        assert!(parse_duration(&format!("{}s", u64::MAX)).is_err());
     }
 }

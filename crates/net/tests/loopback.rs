@@ -77,7 +77,6 @@ fn loopback(engine: Engine, spec: ModelSpec) -> NetServer {
             },
             workers: 2,
             tenants: 4,
-            ..ServedConfig::default()
         })
         .with_virtual_clock()
         .build();
@@ -450,7 +449,6 @@ fn queue_rejection_reaches_the_client_typed() {
             },
             workers: 0,
             tenants: 4,
-            ..ServedConfig::default()
         })
         .with_virtual_clock()
         .build();

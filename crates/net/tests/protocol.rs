@@ -148,7 +148,6 @@ fn tiny_server() -> NetServer {
             },
             workers: 1,
             tenants: 2,
-            ..ServedConfig::default()
         })
         .with_virtual_clock()
         .build();

@@ -9,7 +9,7 @@
 //!   LutSpec ── key() ──▶ LutKey ── LutRegistry::get_or_build ─▶ Arc<QuantAwareLut>
 //!   (method, op,         content      │ hit: return cached artifact
 //!    entries, seed,      address      │ miss: single-flight cold compile
-//!    budget)                          ▼        (island genetic search /
+//!    budget)                          ▼        (genetic search /
 //!                                  stats        NN-LUT training)
 //! ```
 //!

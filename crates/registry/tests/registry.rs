@@ -1,8 +1,6 @@
 //! Registry semantics: same-key hits, LRU capacity eviction, single-flight
 //! build deduplication, and snapshot round-tripping.
 
-// Only the single-flight test (parallel builds) needs the atomics.
-#[cfg(feature = "parallel")]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -59,7 +57,6 @@ fn capacity_bound_evicts_least_recently_used() {
     assert_eq!(reg.stats().builds, builds_before + 1, "s2 was evicted");
 }
 
-#[cfg(feature = "parallel")]
 #[test]
 fn single_flight_deduplicates_concurrent_builds() {
     let reg = Arc::new(LutRegistry::new());

@@ -118,9 +118,6 @@ pub struct ServedConfig {
     /// `tenant < tenants`. Each tenant gets its own lock-free latency
     /// histogram.
     pub tenants: usize,
-    /// Wall-clock duration of one coalescer tick (ignored under a
-    /// virtual clock).
-    pub tick: Duration,
 }
 
 impl Default for ServedConfig {
@@ -129,16 +126,19 @@ impl Default for ServedConfig {
             batch: BatchConfig::default(),
             workers: 2,
             tenants: 1,
-            tick: Duration::from_micros(100),
         }
     }
 }
 
+/// Wall-clock duration of one coalescer tick, the unit of
+/// [`BatchConfig::max_wait`] and of the queue-wait histograms.
+const TICK: Duration = Duration::from_micros(100);
+
 /// How the front-end reads time.
 #[derive(Debug)]
 enum ClockMode {
-    /// Ticks derived from a monotonic epoch (production).
-    Wall { epoch: Instant, tick: Duration },
+    /// Ticks of [`TICK`] since a monotonic epoch (production).
+    Wall { epoch: Instant },
     /// An atomic counter the owner advances by hand
     /// ([`Served::advance`]) — deterministic, sleep-free tests.
     Virtual(AtomicU64),
@@ -152,9 +152,7 @@ struct Clock {
 impl Clock {
     fn now(&self) -> u64 {
         match &self.mode {
-            ClockMode::Wall { epoch, tick } => {
-                (epoch.elapsed().as_nanos() / tick.as_nanos().max(1)) as u64
-            }
+            ClockMode::Wall { epoch } => (epoch.elapsed().as_nanos() / TICK.as_nanos()) as u64,
             ClockMode::Virtual(t) => t.load(Ordering::Acquire),
         }
     }
@@ -180,6 +178,17 @@ impl Slot {
             *slot = Some(r);
         }
         self.cv.notify_all();
+    }
+
+    /// Blocks until the response is ready and takes it.
+    fn wait(&self) -> Result<Tensor, ServedError> {
+        let mut r = self.result.lock().expect("slot lock");
+        loop {
+            match r.take() {
+                Some(out) => return out,
+                None => r = self.cv.wait(r).expect("slot wait"),
+            }
+        }
     }
 }
 
@@ -208,13 +217,7 @@ impl Ticket {
     /// [`ServedError::ShuttingDown`] if the server was dropped before the
     /// request could execute.
     pub fn wait(self) -> Result<Tensor, ServedError> {
-        let mut r = self.slot.result.lock().expect("slot lock");
-        loop {
-            match r.take() {
-                Some(out) => return out,
-                None => r = self.slot.cv.wait(r).expect("slot wait"),
-            }
-        }
+        self.slot.wait()
     }
 
     /// Blocks for at most `timeout`, returning the response if it
@@ -231,7 +234,10 @@ impl Ticket {
     /// Same as [`Ticket::wait`] once the response has resolved to an
     /// error.
     pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<Tensor, ServedError>> {
-        let deadline = Instant::now() + timeout;
+        // A timeout past what `Instant` can represent never expires.
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return Some(self.slot.wait());
+        };
         let mut r = self.slot.result.lock().expect("slot lock");
         loop {
             if let Some(out) = r.take() {
@@ -368,7 +374,6 @@ struct Inner {
     queue: Mutex<Coalescer<Job>>,
     work: Condvar,
     clock: Clock,
-    tick: Duration,
     shutdown: AtomicBool,
     counters: Counters,
     tenants: Vec<LatencyHistogram>,
@@ -443,8 +448,8 @@ impl Inner {
         match (&self.clock.mode, q.next_deadline()) {
             (ClockMode::Wall { .. }, Some(deadline)) => {
                 let ticks = deadline.saturating_sub(self.clock.now()).max(1);
-                let dur = Duration::from_nanos((self.tick.as_nanos() as u64).saturating_mul(ticks))
-                    + self.tick / 2;
+                let dur =
+                    Duration::from_nanos((TICK.as_nanos() as u64).saturating_mul(ticks)) + TICK / 2;
                 self.work.wait_timeout(q, dur).expect("queue wait").0
             }
             _ => self.work.wait(q).expect("queue wait"),
@@ -604,9 +609,8 @@ impl ServedBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if no models were registered, `tenants == 0`, or a
-    /// wall-clock server has a zero `tick` — all configuration bugs, not
-    /// runtime states.
+    /// Panics if no models were registered or `tenants == 0` — both
+    /// configuration bugs, not runtime states.
     #[must_use]
     pub fn build(self) -> Served {
         assert!(!self.models.is_empty(), "a server needs at least one model");
@@ -614,17 +618,12 @@ impl ServedBuilder {
             self.config.tenants > 0,
             "a server needs at least one tenant"
         );
-        assert!(
-            self.virtual_clock || self.config.tick > Duration::ZERO,
-            "wall-clock servers need a non-zero tick (workers would busy-spin)"
-        );
         let clock = Clock {
             mode: if self.virtual_clock {
                 ClockMode::Virtual(AtomicU64::new(0))
             } else {
                 ClockMode::Wall {
                     epoch: Instant::now(),
-                    tick: self.config.tick,
                 }
             },
         };
@@ -643,7 +642,6 @@ impl ServedBuilder {
             models: self.models,
             work: Condvar::new(),
             clock,
-            tick: self.config.tick,
             shutdown: AtomicBool::new(false),
             counters: Counters::default(),
             tenants: (0..self.config.tenants)
@@ -1063,5 +1061,26 @@ mod tests {
         assert_send_sync::<ModelSpec>();
         assert_send_sync::<Ticket>();
         assert_send_sync::<ServedStats>();
+    }
+
+    /// A timeout too large for `Instant` waits without a deadline rather
+    /// than overflowing, whether the response is already there or not.
+    #[test]
+    fn wait_timeout_accepts_an_unrepresentable_timeout() {
+        let slot = Arc::new(Slot::new());
+        slot.fulfill(Ok(Tensor::from_vec(vec![1.0], &[1])));
+        let mut ticket = Ticket { slot };
+        assert!(matches!(ticket.wait_timeout(Duration::MAX), Some(Ok(_))));
+
+        let slot = Arc::new(Slot::new());
+        let mut ticket = Ticket {
+            slot: Arc::clone(&slot),
+        };
+        let fulfiller = std::thread::spawn(move || slot.fulfill(Err(ServedError::ShuttingDown)));
+        assert!(matches!(
+            ticket.wait_timeout(Duration::MAX),
+            Some(Err(ServedError::ShuttingDown))
+        ));
+        fulfiller.join().unwrap();
     }
 }

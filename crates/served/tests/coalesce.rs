@@ -66,7 +66,6 @@ fn virtual_server(engine: Engine, spec: ModelSpec, batch: BatchConfig, workers: 
             batch,
             workers,
             tenants: 4,
-            ..ServedConfig::default()
         })
         .with_virtual_clock()
         .build()
@@ -180,7 +179,6 @@ fn models_are_segregated_into_their_own_batches() {
             },
             workers: 1,
             tenants: 1,
-            ..ServedConfig::default()
         })
         .with_virtual_clock()
         .build();
@@ -235,7 +233,6 @@ fn assert_invisible_over_trace(engine: Engine, tag: &str) {
             },
             workers: 2,
             tenants: cfg.tenants,
-            ..ServedConfig::default()
         })
         .with_virtual_clock()
         .build();

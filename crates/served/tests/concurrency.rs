@@ -94,7 +94,6 @@ fn responses_are_all_old_or_all_new_under_racing_swaps_and_refreshes() {
             },
             workers: 2,
             tenants: THREADS,
-            ..ServedConfig::default()
         })
         .with_virtual_clock()
         .build();
@@ -164,7 +163,6 @@ fn bounded_queue_rejects_instead_of_growing() {
             },
             workers: 0, // nothing drains: pure admission behaviour
             tenants: 1,
-            ..ServedConfig::default()
         })
         .with_virtual_clock()
         .build();
@@ -226,7 +224,6 @@ fn drop_drains_admitted_requests_to_completion() {
             },
             workers: 1,
             tenants: 1,
-            ..ServedConfig::default()
         })
         .with_virtual_clock()
         .build();
@@ -320,7 +317,6 @@ fn served_is_shareable_by_reference() {
                 },
                 workers: 1,
                 tenants: 2,
-                ..ServedConfig::default()
             })
             .with_virtual_clock()
             .build(),

@@ -223,7 +223,6 @@ fn decode_coalescing_is_invisible_across_sessions() {
             },
             workers: 2,
             tenants: 2,
-            tick: Duration::from_micros(100),
         })
         .with_virtual_clock()
         .build();
@@ -370,7 +369,6 @@ fn backpressure_checks_the_state_back_in() {
             },
             workers: 0,
             tenants: 2,
-            ..ServedConfig::default()
         })
         .with_virtual_clock()
         .build();

@@ -227,7 +227,6 @@ fn quota_rejects_only_the_full_tenant_and_counts_decode_steps() {
             },
             workers: 0,
             tenants: 2,
-            ..ServedConfig::default()
         })
         .with_virtual_clock()
         .build();

@@ -42,8 +42,8 @@
 //!   `mulss`/`addss` (and produce the same default NaN for `0·∞`).
 //!   FMA contraction *would* break the contract (one rounding instead
 //!   of two), so the kernels use separate multiply and add throughout.
-//! * **Splitting rows across threads** (the `parallel` feature) gives
-//!   every output element exactly one owner.
+//! * **Splitting rows across threads** (large products, more than one
+//!   CPU) gives every output element exactly one owner.
 //!
 //! The blocked driver tiles `n` into [`JC`]-column panels and `k` into
 //! [`KC`]-row blocks (`KC % 4 == 0`), packs each `(kc × jw)` panel of B
@@ -63,7 +63,6 @@
 //! 16-lane AVX-512 kernel, because vectorizing across `j` never touches
 //! any element's add order.
 
-#[cfg(feature = "parallel")]
 use std::num::NonZeroUsize;
 
 /// Rows of the inner dimension per packed panel (the `p`-block size).
@@ -76,9 +75,7 @@ const KC: usize = 256;
 const JC: usize = 128;
 
 /// Minimum `m·k·n` before [`matmul_acc_f32`] fans rows out across
-/// threads (`parallel` feature): below this the scope/join overhead
-/// outweighs the work.
-#[cfg(feature = "parallel")]
+/// threads: below this the scope/join overhead outweighs the work.
 const PAR_MIN_WORK: usize = 1 << 20;
 
 /// Which inner kernel the dispatcher selected, decided once per call.
@@ -138,7 +135,7 @@ pub fn matmul_path() -> &'static str {
 /// Bit-identical for every input to the reference loop
 /// `for p ascending { out[i][j] += a[i][p]·b[p][j] }` with the
 /// documented aligned-chunk zero-skip — on every dispatch path, with
-/// the `simd` and `parallel` features on or off.
+/// the `simd` feature on or off, on one thread or many.
 ///
 /// # Panics
 ///
@@ -151,7 +148,6 @@ pub fn matmul_acc_f32(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
         return;
     }
     let path = detect();
-    #[cfg(feature = "parallel")]
     if par_acc(path, a, b, out, m, k, n) {
         return;
     }
@@ -294,7 +290,6 @@ fn acc_blocked(path: Path, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: u
 /// order — and therefore every bit of the result — is unchanged.
 /// Returns false (caller falls back to single-thread) when the work is
 /// too small or only one CPU is available.
-#[cfg(feature = "parallel")]
 fn par_acc(
     path: Path,
     a: &[f32],

@@ -46,7 +46,6 @@ fn main() {
             },
             workers: 2,
             tenants: TENANTS,
-            ..ServedConfig::default()
         })
         .build();
 

@@ -51,7 +51,6 @@ fn main() {
             },
             workers: 2,
             tenants: TENANTS,
-            ..ServedConfig::default()
         })
         .build();
 

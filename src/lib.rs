@@ -11,7 +11,7 @@
 //! * [`simd`] — wide-lane (AVX2) kernels for the batch hot paths, with
 //!   bit-exact scalar fallbacks.
 //! * [`pwl`] — piece-wise linear LUT approximation and its quantized execution.
-//! * [`genetic`] — the GQA-LUT island-model genetic search with Rounding Mutation.
+//! * [`genetic`] — the GQA-LUT genetic search with Rounding Mutation.
 //! * [`nnlut`] — the NN-LUT baseline (neural pwl extraction).
 //! * [`registry`] — the content-addressed LUT artifact registry (cached,
 //!   deduplicated compilation; JSON snapshots; hot-swappable backends).
@@ -40,9 +40,12 @@
 //! * `simd` (default) — forwards the runtime-detected AVX2 kernel paths
 //!   through every workspace crate; results are bit-identical with it
 //!   off (CI's scalar matrix leg builds the whole workspace with
-//!   `--no-default-features` to prove it).
-//! * `parallel` (default) — multi-threaded genetic population scoring;
-//!   results identical, serial with it off.
+//!   `--no-default-features` to prove it). It is the only feature.
+//!
+//! Genetic population scoring and large matmuls always use more than one
+//! thread when the work is large enough and more than one CPU is
+//! available, and fall back to the serial sweep otherwise. Results are
+//! bit-identical either way.
 //!
 //! ## Quickstart: serve a model through the engine
 //!
