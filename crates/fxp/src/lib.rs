@@ -62,6 +62,10 @@ pub use scale::{PowerOfTwoScale, ShiftDirection};
 /// reference implementation's behaviour on the values that occur here; exact
 /// ties are resolved away from zero.
 ///
+/// The quantizer saturates ([`IntRange::saturating_round`]): `x / S` is
+/// clipped before it is rounded, so ±∞ and huge values give `Qp` or `Qn`,
+/// and NaN gives the meaningless code `clip(0)` instead of a panic.
+///
 /// # Example
 ///
 /// ```
@@ -70,11 +74,11 @@ pub use scale::{PowerOfTwoScale, ShiftDirection};
 /// assert_eq!(quantize_value(1.0, s, IntRange::signed(8)), 4);
 /// assert_eq!(quantize_value(1000.0, s, IntRange::signed(8)), 127); // clipped
 /// assert_eq!(quantize_value(-1000.0, s, IntRange::signed(8)), -128);
+/// assert_eq!(quantize_value(f64::INFINITY, s, IntRange::signed(8)), 127);
 /// ```
 #[must_use]
 pub fn quantize_value(x: f64, scale: PowerOfTwoScale, range: IntRange) -> i64 {
-    let q = round_half_away(x / scale.to_f64());
-    range.clamp(q)
+    range.saturating_round(x / scale.to_f64())
 }
 
 /// Dequantizes an integer `q` back to the real axis: `x̃ = S · q` (Eq. 2).

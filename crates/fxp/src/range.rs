@@ -84,6 +84,35 @@ impl IntRange {
         q.clamp(self.qn, self.qp)
     }
 
+    /// Rounds `v` half away from zero into `[Qn, Qp]`, saturating as the
+    /// hardware's input quantizer does. `v` is clamped to `[Qn, Qp]` in
+    /// `f64` before it is rounded, so ±∞ and values of any magnitude
+    /// saturate to the nearer bound instead of overflowing `i64`.
+    ///
+    /// Wherever `self.clamp(round_half_away(v))` returns, this returns the
+    /// same code: a value past `Qp` rounds to at least `Qp` and then clamps
+    /// to `Qp`, and likewise below `Qn`. (Bounds past ±2^53 need `f64` to
+    /// round them outward, as it does for every `signed` and `unsigned`
+    /// range.)
+    ///
+    /// NaN has no code: it gives `self.clamp(0)`, so a datapath that
+    /// serves values returns NaN for a NaN input itself.
+    ///
+    /// ```
+    /// use gqa_fxp::IntRange;
+    /// let r = IntRange::signed(8);
+    /// assert_eq!(r.saturating_round(2.5), 3);
+    /// assert_eq!(r.saturating_round(1e300), 127);
+    /// assert_eq!(r.saturating_round(f64::NEG_INFINITY), -128);
+    /// ```
+    #[must_use]
+    pub fn saturating_round(self, v: f64) -> i64 {
+        // `f64::round` rounds ties away from zero, as `round_half_away`
+        // does. `as` maps NaN to 0; the final clamp brings that, and a
+        // bound that `f64` rounded outward, into the range.
+        (v.clamp(self.qn as f64, self.qp as f64).round() as i64).clamp(self.qn, self.qp)
+    }
+
     /// Whether `q` lies inside the range.
     #[must_use]
     pub fn contains(self, q: i64) -> bool {

@@ -99,3 +99,49 @@ proptest! {
         }
     }
 }
+
+/// The quantizer clips before it rounds. Wherever the round-then-clip
+/// spelling `clamp(round_half_away(x / S))` returned, the code is the
+/// same: at `Qp ± ½` and `Qn ± ½` and their neighbours, ±0, subnormals
+/// and ±2^62·S. Where that spelling panicked it now saturates: ±∞ and
+/// |x / S| past `i64` give `Qp` or `Qn`, and NaN gives the code `clip(0)`.
+#[test]
+fn quantizer_saturates_and_matches_round_then_clip_at_the_edges() {
+    let ranges = [
+        IntRange::signed(4),
+        IntRange::signed(8),
+        IntRange::signed(16),
+        IntRange::unsigned(8),
+        IntRange::signed(53),
+    ];
+    for r in ranges {
+        for e in -8..=4 {
+            let s = PowerOfTwoScale::new(e);
+            let sf = s.to_f64();
+            let tiny = f64::from_bits(1);
+            let big = 2f64.powi(62) * sf;
+            let mut xs = vec![0.0, -0.0, tiny, -tiny, f64::MIN_POSITIVE / 2.0, big, -big];
+            for edge in [r.qp() as f64, r.qn() as f64] {
+                for v in [edge - 0.5, edge, edge + 0.5] {
+                    let x = v * sf;
+                    xs.extend([x.next_down(), x, x.next_up()]);
+                }
+            }
+            for x in xs {
+                let old = r.clamp(round_half_away(x / sf));
+                assert_eq!(quantize_value(x, s, r), old, "x = {x:e}, S = {sf:e}, {r}");
+            }
+            let huge = 2f64.powi(70) * sf;
+            for (x, want) in [
+                (f64::INFINITY, r.qp()),
+                (f64::NEG_INFINITY, r.qn()),
+                (huge, r.qp()),
+                (-huge, r.qn()),
+                (f64::MAX, r.qp()),
+                (f64::NAN, r.clamp(0)),
+            ] {
+                assert_eq!(quantize_value(x, s, r), want, "x = {x:e}, S = {sf:e}, {r}");
+            }
+        }
+    }
+}

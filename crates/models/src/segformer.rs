@@ -208,37 +208,47 @@ impl SegformerLite {
         assert!(h % 8 == 0 && w % 8 == 0, "H and W must be divisible by 8");
         let [c1, c2] = self.config.channels;
 
+        // Each block, each stage and the decode head is a scope: on an
+        // inference tape its intermediates go back to the pool as it ends,
+        // so later ops reuse them (see `Graph::scope`).
+
         // Stage 1 at 1/4 resolution.
         let (h1, w1) = (h / 4, w / 4);
-        let f1 = self.embed1.apply(g, ps, x);
-        let mut tokens = nchw_to_tokens(g, f1, b, c1, h1 * w1);
-        for block in &self.stage1 {
-            tokens = block.apply(g, ps, tokens, b, h1, w1);
-        }
-        let f1 = tokens_to_nchw(g, tokens, b, c1, h1, w1);
+        let f1 = g.scope(|g| {
+            let f1 = self.embed1.apply(g, ps, x);
+            let mut tokens = nchw_to_tokens(g, f1, b, c1, h1 * w1);
+            for block in &self.stage1 {
+                tokens = g.scope(|g| block.apply(g, ps, tokens, b, h1, w1));
+            }
+            tokens_to_nchw(g, tokens, b, c1, h1, w1)
+        });
 
         // Stage 2 at 1/8 resolution.
         let (h2, w2) = (h / 8, w / 8);
-        let f2 = self.embed2.apply(g, ps, f1);
-        let mut tokens = nchw_to_tokens(g, f2, b, c2, h2 * w2);
-        for block in &self.stage2 {
-            tokens = block.apply(g, ps, tokens, b, h2, w2);
-        }
-        let f2 = tokens_to_nchw(g, tokens, b, c2, h2, w2);
+        let f2 = g.scope(|g| {
+            let f2 = self.embed2.apply(g, ps, f1);
+            let mut tokens = nchw_to_tokens(g, f2, b, c2, h2 * w2);
+            for block in &self.stage2 {
+                tokens = g.scope(|g| block.apply(g, ps, tokens, b, h2, w2));
+            }
+            tokens_to_nchw(g, tokens, b, c2, h2, w2)
+        });
 
         // All-MLP decode head at 1/4 resolution.
         let d = self.config.decode_ch;
-        let t1 = nchw_to_tokens(g, f1, b, c1, h1 * w1);
-        let p1 = self.dec1.apply(g, ps, t1);
-        let p1 = tokens_to_nchw(g, p1, b, d, h1, w1);
-        let t2 = nchw_to_tokens(g, f2, b, c2, h2 * w2);
-        let p2 = self.dec2.apply(g, ps, t2);
-        let p2 = tokens_to_nchw(g, p2, b, d, h2, w2);
-        let p2 = g.upsample_nearest(p2, 2);
-        let cat = g.concat_channels(&[p1, p2]);
-        let fused = self.fuse.apply(g, ps, cat);
-        let fused = g.unary(fused, UnaryKind::Relu);
-        let logits = self.classify.apply(g, ps, fused);
+        let logits = g.scope(|g| {
+            let t1 = nchw_to_tokens(g, f1, b, c1, h1 * w1);
+            let p1 = self.dec1.apply(g, ps, t1);
+            let p1 = tokens_to_nchw(g, p1, b, d, h1, w1);
+            let t2 = nchw_to_tokens(g, f2, b, c2, h2 * w2);
+            let p2 = self.dec2.apply(g, ps, t2);
+            let p2 = tokens_to_nchw(g, p2, b, d, h2, w2);
+            let p2 = g.upsample_nearest(p2, 2);
+            let cat = g.concat_channels(&[p1, p2]);
+            let fused = self.fuse.apply(g, ps, cat);
+            let fused = g.unary(fused, UnaryKind::Relu);
+            self.classify.apply(g, ps, fused)
+        });
         g.upsample_nearest(logits, 4)
     }
 }

@@ -516,3 +516,66 @@ fn mid_flight_disconnect_wedges_nothing() {
     assert_eq!(bits(&client.infer(0, 0, input).unwrap()), want);
     assert_eq!(server.served().stats().completed, 2);
 }
+
+/// One `Infer` on a fresh raw connection whose reads time out, so a
+/// request that never resolves fails the test instead of hanging it.
+/// `None` unless the server answers with an `Output`.
+fn infer_with_timeout(server: &NetServer, input: &Tensor) -> Option<Tensor> {
+    use gqa_net::{decode_response, encode_request, write_frame, RequestFrame, ResponseFrame};
+    use std::io::Read;
+
+    let mut s = std::net::TcpStream::connect(server.addr()).ok()?;
+    s.set_read_timeout(Some(Duration::from_secs(10))).ok()?;
+    let frame = encode_request(&RequestFrame::Infer {
+        tenant: 0,
+        model: 0,
+        input: input.clone(),
+    });
+    write_frame(&mut s, &frame).ok()?;
+    let mut len = [0u8; 4];
+    s.read_exact(&mut len).ok()?;
+    let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+    s.read_exact(&mut payload).ok()?;
+    match decode_response(&payload).ok()? {
+        ResponseFrame::Output { output } => Some(output),
+        _ => None,
+    }
+}
+
+/// Tensors cross the wire as raw `f32` bits, so a peer can hand a
+/// LUT-served GELU NaN, +∞ or 1e30. Each such frame is answered with an
+/// `Output` (NaN exactly where the input was NaN), bit-identical to the
+/// in-process path, and both workers survive: a benign client afterwards
+/// gets bit-exact service.
+#[test]
+fn non_finite_payloads_are_answered_and_the_workers_survive() {
+    let spec = ModelSpec::new("gelu", &[DIM], |g, x| g.unary(x, UnaryKind::Gelu));
+    let server = loopback(lut_engine(), spec.clone());
+    let session = server.served().engine().session();
+    let mut pool = BufferPool::new();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        for v in [f32::NAN, f32::INFINITY, 1e30] {
+            let data = (0..DIM).map(|j| if j % 2 == 0 { v } else { j as f32 * 0.25 });
+            let input = Tensor::from_vec(data.collect(), &[DIM]);
+            let output = infer_with_timeout(&server, &input)
+                .unwrap_or_else(|| panic!("a frame carrying {v} got no Output"));
+            for (x, y) in input.data.iter().zip(&output.data) {
+                assert_eq!(y.is_nan(), x.is_nan(), "gelu({x}) = {y}");
+            }
+            let want = reference(&session, &spec, &input, &mut pool);
+            assert_eq!(bits(&output), want, "a frame carrying {v}");
+        }
+        let benign = Tensor::from_vec(vec![0.7; DIM], &[DIM]);
+        let output = infer_with_timeout(&server, &benign).expect("benign request unanswered");
+        assert_eq!(
+            bits(&output),
+            reference(&session, &spec, &benign, &mut pool)
+        );
+    }));
+    if let Err(panic) = outcome {
+        // A dead worker leaves a ticket unresolved, and dropping the
+        // server would wait on it.
+        std::mem::forget(server);
+        std::panic::resume_unwind(panic);
+    }
+}

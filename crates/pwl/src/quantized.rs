@@ -15,7 +15,7 @@
 //! the wide-range DIV/RSQRT operators (Table 2 stores their breakpoints as
 //! 8-bit FXP with λ fractional bits instead of re-quantizing per scale).
 
-use gqa_fxp::{round_half_away, Fxp, IntRange, PowerOfTwoScale};
+use gqa_fxp::{Fxp, IntRange, PowerOfTwoScale};
 
 use crate::pwl_fn::{Pwl, PwlError};
 
@@ -154,7 +154,8 @@ impl IntLutInstance {
         self.range
     }
 
-    /// Quantizes a real input onto this instance's grid (Eq. 2).
+    /// Quantizes a real input onto this instance's grid (Eq. 2),
+    /// saturating at `Qn`/`Qp` ([`gqa_fxp::quantize_value`]).
     #[must_use]
     pub fn quantize_input(&self, x: f64) -> i64 {
         gqa_fxp::quantize_value(x, self.scale, self.range)
@@ -184,9 +185,13 @@ impl IntLutInstance {
     }
 
     /// Convenience: quantize a real input and evaluate,
-    /// `x → S·pwl'(⌊x/S⌉)`.
+    /// `x → S·pwl'(⌊x/S⌉)`. NaN has no code, so NaN in gives NaN out, as
+    /// the exact operators do.
     #[must_use]
     pub fn eval_f64(&self, x: f64) -> f64 {
+        if x.is_nan() {
+            return x;
+        }
         self.eval_dequantized(self.quantize_input(x))
     }
 
@@ -297,8 +302,12 @@ impl IntLutInstance {
                 qc,
                 rc,
             );
-            for (y, &r) in oc.iter_mut().zip(rc.iter()) {
-                *y = (r as f64 * unscale * s) as f32;
+            for ((y, &r), &x) in oc.iter_mut().zip(rc.iter()).zip(xc) {
+                *y = if x.is_nan() {
+                    x
+                } else {
+                    (r as f64 * unscale * s) as f32
+                };
             }
         }
     }
@@ -334,8 +343,12 @@ impl gqa_funcs::BatchEval for IntLutInstance {
                 qc,
                 rc,
             );
-            for (y, &r) in oc.iter_mut().zip(rc.iter()) {
-                *y = r as f64 * unscale * s;
+            for ((y, &r), &x) in oc.iter_mut().zip(rc.iter()).zip(xc) {
+                *y = if x.is_nan() {
+                    x
+                } else {
+                    r as f64 * unscale * s
+                };
             }
         }
     }
@@ -398,11 +411,11 @@ impl FxpPwl {
     }
 
     /// Quantizes a real input onto the λ-bit FXP grid, saturating to the
-    /// `storage_bits`-wide input word (the datapath width).
+    /// `storage_bits`-wide input word (the datapath width) before it
+    /// rounds ([`IntRange::saturating_round`]).
     #[must_use]
     pub fn quantize_input(&self, x: f64) -> i64 {
-        let raw = round_half_away(x * (1i64 << self.lambda) as f64);
-        IntRange::signed(self.storage_bits).clamp(raw)
+        IntRange::signed(self.storage_bits).saturating_round(x * (1i64 << self.lambda) as f64)
     }
 
     /// Integer evaluation: input raw with λ fractional bits, output raw
@@ -415,9 +428,13 @@ impl FxpPwl {
         PowerOfTwoScale::new(-(self.lambda as i32)).multiply_int(acc2)
     }
 
-    /// Real-axis evaluation through the FXP datapath.
+    /// Real-axis evaluation through the FXP datapath; NaN in gives NaN
+    /// out.
     #[must_use]
     pub fn eval_f64(&self, x: f64) -> f64 {
+        if x.is_nan() {
+            return x;
+        }
         self.eval_raw(self.quantize_input(x)) as f64 / (1i64 << self.lambda) as f64
     }
 }
@@ -427,8 +444,8 @@ impl gqa_funcs::BatchEval for FxpPwl {
         self.eval_f64(x)
     }
 
-    /// FXP batch datapath: scalar input quantization (round-half-away
-    /// and word saturation per element), then the branchless wide-lane
+    /// FXP batch datapath: scalar input quantization (word saturation,
+    /// then round-half-away, per element), then the branchless wide-lane
     /// select-and-multiply-add over stack-resident chunks — the `b·2^λ`
     /// intercept alignment is hoisted out of the loop so the kernel sees
     /// a plain `(k, b)` LUT — then the rounding output shift.
@@ -444,7 +461,7 @@ impl gqa_funcs::BatchEval for FxpPwl {
         for (xc, oc) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
             let rc = &mut raw_in[..xc.len()];
             for (r, &x) in rc.iter_mut().zip(xc) {
-                *r = word.clamp(round_half_away(x * to_raw));
+                *r = word.saturating_round(x * to_raw);
             }
             let ac = &mut acc[..xc.len()];
             gqa_simd::lut_select_i64(
@@ -454,8 +471,12 @@ impl gqa_funcs::BatchEval for FxpPwl {
                 rc,
                 ac,
             );
-            for (y, &a) in oc.iter_mut().zip(ac.iter()) {
-                *y = down.multiply_int(a) as f64 * from_raw;
+            for ((y, &a), &x) in oc.iter_mut().zip(ac.iter()).zip(xc) {
+                *y = if x.is_nan() {
+                    x
+                } else {
+                    down.multiply_int(a) as f64 * from_raw
+                };
             }
         }
     }
@@ -466,6 +487,7 @@ mod tests {
     use super::*;
     use crate::fit::{fit_pwl, SegmentFit};
     use gqa_funcs::NonLinearOp;
+    use gqa_fxp::round_half_away;
 
     fn gelu_lut() -> QuantAwareLut {
         let f = |x: f64| NonLinearOp::Gelu.eval(x);

@@ -46,6 +46,18 @@ fn gelu_pwl(bps: &[f64]) -> Pwl {
     fit::fit_pwl(&f, (-4.0, 4.0), bps, SegmentFit::LeastSquares).unwrap()
 }
 
+/// The paper's DIV unit: an FXP pwl core behind the Table 2 multi-range
+/// scaling.
+fn div_unit() -> MultiRangeLut {
+    let f = |x: f64| NonLinearOp::Div.eval(x);
+    let bps = [0.65, 0.85, 1.1, 1.5, 2.0, 2.6, 3.3];
+    let pwl = fit::fit_pwl(&f, (0.5, 4.0), &bps, SegmentFit::LeastSquares).unwrap();
+    MultiRangeLut::new(
+        FxpPwl::new(&QuantAwareLut::new(pwl, 5).unwrap(), 8),
+        MultiRangeScaling::div_paper(),
+    )
+}
+
 proptest! {
     /// Every registered operator: batch ≡ scalar on arbitrary inputs,
     /// including out-of-domain ones (DIV/RSQRT at and below zero).
@@ -131,19 +143,7 @@ proptest! {
     fn multirange_batch_equals_scalar(
         xs in proptest::collection::vec(0.5f64..300.0, 1..100)
     ) {
-        let f = |x: f64| NonLinearOp::Div.eval(x);
-        let pwl = fit::fit_pwl(
-            &f,
-            (0.5, 4.0),
-            &[0.65, 0.85, 1.1, 1.5, 2.0, 2.6, 3.3],
-            SegmentFit::LeastSquares,
-        )
-        .unwrap();
-        let unit = MultiRangeLut::new(
-            FxpPwl::new(&QuantAwareLut::new(pwl, 5).unwrap(), 8),
-            MultiRangeScaling::div_paper(),
-        );
-        assert_batch_matches_scalar(&unit, &xs, "multirange");
+        assert_batch_matches_scalar(&div_unit(), &xs, "multirange");
     }
 
     /// The `f32` fast paths: `eval_batch_f32` must equal evaluating the
@@ -167,18 +167,7 @@ proptest! {
             );
         }
 
-        let f = |x: f64| NonLinearOp::Div.eval(x);
-        let pwl = fit::fit_pwl(
-            &f,
-            (0.5, 4.0),
-            &[0.65, 0.85, 1.1, 1.5, 2.0, 2.6, 3.3],
-            SegmentFit::LeastSquares,
-        )
-        .unwrap();
-        let unit = MultiRangeLut::new(
-            FxpPwl::new(&QuantAwareLut::new(pwl, 5).unwrap(), 8),
-            MultiRangeScaling::div_paper(),
-        );
+        let unit = div_unit();
         let pos: Vec<f32> = xs.iter().map(|&x| x.abs().max(0.5)).collect();
         let mut out = vec![0.0f32; pos.len()];
         unit.eval_batch_f32(&pos, &mut out);
@@ -226,5 +215,78 @@ proptest! {
             "mse_of diverged from the documented reduction: {got:e} vs {:e}",
             acc / n as f64
         );
+    }
+}
+
+/// Hostile inputs reach the served datapaths as raw `f32` bits. NaN in
+/// gives NaN out, as the exact operators do; ±∞ and huge values saturate
+/// to the edge codes; none of them panics, on any path, and batch ≡
+/// scalar and `f32` ≡ widened scalar hold for them as for finite inputs.
+#[test]
+fn served_datapaths_pass_nan_and_saturate_the_rest() {
+    let xs = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1e30,
+        -1e30,
+        f32::MAX,
+        0.75,
+    ];
+    let wide: Vec<f64> = xs.iter().map(|&x| f64::from(x)).collect();
+
+    let lut = QuantAwareLut::new(gelu_pwl(&[-2.5, -1.5, -0.8, -0.3, 0.3, 0.9, 2.0]), 5).unwrap();
+    let inst = lut.instantiate(PowerOfTwoScale::new(-4), IntRange::signed(8));
+    let fxp = FxpPwl::new(&lut, 8);
+    let unit = div_unit();
+    let paths: [(&dyn BatchEval, &str); 3] =
+        [(&inst, "int_lut"), (&fxp, "fxp_pwl"), (&unit, "multirange")];
+    for (path, label) in paths {
+        assert_batch_matches_scalar(path, &wide, label);
+        for &x in &wide {
+            let y = path.eval_scalar(x);
+            assert_eq!(y.is_nan(), x.is_nan(), "{label}({x}) = {y}");
+        }
+    }
+    assert_eq!(inst.eval_f64(f64::INFINITY), inst.eval_dequantized(127));
+    assert_eq!(inst.eval_f64(-1e30), inst.eval_dequantized(-128));
+    assert_eq!(fxp.quantize_input(f64::INFINITY), 127);
+    assert_eq!(fxp.quantize_input(f64::NEG_INFINITY), -128);
+
+    let mut out = vec![0.0f32; xs.len()];
+    inst.eval_batch_f32(&xs, &mut out);
+    for (&x, &y) in xs.iter().zip(&out) {
+        let want = inst.eval_f64(f64::from(x)) as f32;
+        assert!(
+            same(f64::from(y), f64::from(want)),
+            "int_lut f32({x}): {y} vs {want}"
+        );
+    }
+    unit.eval_batch_f32(&xs, &mut out);
+    for (&x, &y) in xs.iter().zip(&out) {
+        let want = unit.eval_f64(f64::from(x)) as f32;
+        assert!(
+            same(f64::from(y), f64::from(want)),
+            "multirange f32({x}): {y} vs {want}"
+        );
+    }
+}
+
+/// `FxpPwl` saturates its input word before rounding. Wherever the old
+/// round-then-saturate spelling returned, the raw word is the same.
+#[test]
+fn fxp_input_word_matches_round_then_saturate_at_the_edges() {
+    let lut = QuantAwareLut::new(gelu_pwl(&[-1.0, 1.0]), 5).unwrap();
+    let fxp = FxpPwl::new(&lut, 8);
+    let word = IntRange::signed(8);
+    let to_raw = 32.0;
+    for edge in [word.qp() as f64, word.qn() as f64, 0.0] {
+        for v in [edge - 0.5, edge, edge + 0.5] {
+            let x = v / to_raw;
+            for x in [x.next_down(), x, x.next_up()] {
+                let old = word.clamp(gqa_fxp::round_half_away(x * to_raw));
+                assert_eq!(fxp.quantize_input(x), old, "x = {x:e}");
+            }
+        }
     }
 }

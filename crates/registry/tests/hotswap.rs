@@ -8,7 +8,7 @@
 //! 3. `swap` returns the previous delegate so callers can restore it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use gqa_registry::HotSwapBackend;
 use gqa_tensor::{UnaryBackend, UnaryKind};
@@ -34,8 +34,15 @@ fn tensor_evals_never_mix_delegates_across_a_swap() {
     let xs64 = vec![0.5f64; 1000];
     let xs32 = vec![0.5f32; 1000];
 
+    // The evaluator reports each finished evaluation, so the swapper can
+    // wait for real overlap instead of hoping the scheduler provides it.
+    let (done_tx, done) = mpsc::channel::<()>();
+
     std::thread::scope(|s| {
         let evaluator = s.spawn(|| {
+            // Owned here, so an evaluator that panics drops the sender
+            // and the swapper's `recv` fails instead of waiting forever.
+            let done_tx = done_tx;
             let mut out64 = vec![0.0f64; xs64.len()];
             let mut out32 = vec![0.0f32; xs32.len()];
             let mut saw = [false; 2]; // which delegates were observed
@@ -53,19 +60,25 @@ fn tensor_evals_never_mix_delegates_across_a_swap() {
                     "eval_many_f32 mixed two delegates in one tensor"
                 );
                 saw[(first - 1.0) as usize] = true;
+                let _ = done_tx.send(());
             }
             saw
         });
 
+        // One whole evaluation before the first swap ...
+        done.recv().expect("evaluator stopped");
         for i in 0..200 {
             let v = if i % 2 == 0 { 2.0 } else { 1.0 };
             hs.swap(Arc::new(ConstBackend(v)));
             std::thread::yield_now();
         }
+        // ... and one after the last. Of the evaluations not yet reported,
+        // the first may have begun before the last swap; the second cannot.
+        while done.try_recv().is_ok() {}
+        done.recv().expect("evaluator stopped");
+        done.recv().expect("evaluator stopped");
         stop.store(true, Ordering::Relaxed);
         let saw = evaluator.join().expect("evaluator panicked");
-        // Not a strict requirement (scheduling-dependent), but on any
-        // normal run the evaluator observes at least one delegate.
         assert!(saw[0] || saw[1]);
     });
 }

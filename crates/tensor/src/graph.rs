@@ -89,8 +89,23 @@ enum Op {
 
 struct Node {
     op: Op,
-    value: Tensor,
+    /// `None` once a [`Graph::scope`] has released the node.
+    value: Option<Tensor>,
     param: Option<ParamId>,
+}
+
+/// The tape's nodes, in creation order. Every read of a node's value goes
+/// through [`Nodes::value`], so a node a scope released fails loudly
+/// instead of reading as empty data.
+struct Nodes(Vec<Node>);
+
+impl Nodes {
+    fn value(&self, id: NodeId) -> &Tensor {
+        match &self.0[id.0].value {
+            Some(t) => t,
+            None => panic!("{id:?} was released by Graph::scope; its value is gone"),
+        }
+    }
 }
 
 /// An eager reverse-mode autodiff tape bound to a [`UnaryBackend`].
@@ -101,7 +116,7 @@ struct Node {
 /// hitting the allocator.
 pub struct Graph<'b> {
     backend: &'b dyn UnaryBackend,
-    nodes: Vec<Node>,
+    nodes: Nodes,
     grads: Vec<Option<Vec<f32>>>,
     pool: BufferPool,
     mode: EvalMode,
@@ -110,7 +125,7 @@ pub struct Graph<'b> {
 impl std::fmt::Debug for Graph<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Graph")
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.nodes.0.len())
             .field("mode", &self.mode)
             .finish()
     }
@@ -139,7 +154,7 @@ impl<'b> Graph<'b> {
     pub fn with_mode(backend: &'b dyn UnaryBackend, mode: EvalMode, pool: BufferPool) -> Self {
         Self {
             backend,
-            nodes: Vec::new(),
+            nodes: Nodes(Vec::new()),
             grads: Vec::new(),
             pool,
             mode,
@@ -163,8 +178,8 @@ impl<'b> Graph<'b> {
     #[must_use]
     pub fn recycle(self) -> BufferPool {
         let mut pool = self.pool;
-        for node in self.nodes {
-            pool.put(node.value.data);
+        for t in self.nodes.0.into_iter().filter_map(|n| n.value) {
+            pool.put(t.data);
         }
         for g in self.grads.into_iter().flatten() {
             pool.put(g);
@@ -173,25 +188,30 @@ impl<'b> Graph<'b> {
     }
 
     fn push(&mut self, op: Op, value: Tensor, param: Option<ParamId>) -> NodeId {
+        let value = Some(value);
         if self.training() {
-            self.nodes.push(Node { op, value, param });
+            self.nodes.0.push(Node { op, value, param });
             self.grads.push(None);
         } else {
             // Inference: drop backward metadata (op descriptors can carry
             // target vectors / node-id lists) and keep no gradient slot.
-            self.nodes.push(Node {
+            self.nodes.0.push(Node {
                 op: Op::Detached,
                 value,
                 param,
             });
         }
-        NodeId(self.nodes.len() - 1)
+        NodeId(self.nodes.0.len() - 1)
     }
 
     /// The value computed at `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`Graph::scope`] has released `id`.
     #[must_use]
     pub fn value(&self, id: NodeId) -> &Tensor {
-        &self.nodes[id.0].value
+        self.nodes.value(id)
     }
 
     /// The gradient at `id` (after [`Graph::backward`]); `None` if the node
@@ -204,13 +224,50 @@ impl<'b> Graph<'b> {
     /// Number of nodes on the tape.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.nodes.0.len()
     }
 
     /// Whether the tape is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.nodes.0.is_empty()
+    }
+
+    /// Runs `f`, one stretch of a forward, and returns the node it
+    /// returns.
+    ///
+    /// On an [`EvalMode::Inference`] tape the scope then **releases**
+    /// every other node `f` created: each buffer goes back to the tape's
+    /// [`BufferPool`] at once, so the ops after the scope reuse it instead
+    /// of the forward holding every intermediate until
+    /// [`Graph::recycle`]. Nodes created before the scope are never
+    /// released by it, so a scope that returns such a node releases
+    /// everything made inside it. Scopes nest: an outer scope releases an
+    /// inner scope's result unless it returns that node itself.
+    ///
+    /// Reading a released node, through [`Graph::value`] or as an op's
+    /// input, panics with the node's id; it never reads as empty data.
+    ///
+    /// On a training tape a scope is the identity, because
+    /// [`Graph::backward`] needs every value.
+    ///
+    /// Scopes are bit-invisible: the same ops run in the same order, and
+    /// no op sees a pooled buffer's stale contents ([`BufferPool::take`]
+    /// zero-fills, and [`BufferPool::take_full`] serves only ops that
+    /// overwrite every element).
+    pub fn scope(&mut self, f: impl FnOnce(&mut Self) -> NodeId) -> NodeId {
+        let start = self.nodes.0.len();
+        let out = f(self);
+        if !self.training() {
+            for (i, node) in self.nodes.0.iter_mut().enumerate().skip(start) {
+                if i != out.0 {
+                    if let Some(t) = node.value.take() {
+                        self.pool.put(t.data);
+                    }
+                }
+            }
+        }
+        out
     }
 
     // ---- leaf constructors ----
@@ -234,7 +291,7 @@ impl<'b> Graph<'b> {
     ///
     /// Panics on shape mismatch.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (ta, tb) = (self.nodes.value(a), self.nodes.value(b));
         assert_eq!(ta.shape, tb.shape, "add shape mismatch");
         let mut data = self.pool.take_full(ta.data.len());
         gqa_simd::add_f32(&ta.data, &tb.data, &mut data);
@@ -248,7 +305,7 @@ impl<'b> Graph<'b> {
     ///
     /// Panics on shape mismatch.
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (ta, tb) = (self.nodes.value(a), self.nodes.value(b));
         assert_eq!(ta.shape, tb.shape, "mul shape mismatch");
         let mut data = self.pool.take_full(ta.data.len());
         for ((o, &x), &y) in data.iter_mut().zip(&ta.data).zip(&tb.data) {
@@ -260,7 +317,7 @@ impl<'b> Graph<'b> {
 
     /// `c · x`.
     pub fn scale(&mut self, x: NodeId, c: f32) -> NodeId {
-        let tx = &self.nodes[x.0].value;
+        let tx = self.nodes.value(x);
         let mut data = self.pool.take_full(tx.data.len());
         gqa_simd::scale_f32(c, &tx.data, &mut data);
         let t = Tensor::from_vec(data, &tx.shape.clone());
@@ -269,7 +326,7 @@ impl<'b> Graph<'b> {
 
     /// `x + c` elementwise.
     pub fn add_scalar(&mut self, x: NodeId, c: f32) -> NodeId {
-        let tx = &self.nodes[x.0].value;
+        let tx = self.nodes.value(x);
         let mut data = self.pool.take_full(tx.data.len());
         gqa_simd::add_scalar_f32(c, &tx.data, &mut data);
         let t = Tensor::from_vec(data, &tx.shape.clone());
@@ -283,7 +340,7 @@ impl<'b> Graph<'b> {
     ///
     /// Panics if `b` is not 1-D matching `x`'s last dimension.
     pub fn add_bias_last(&mut self, x: NodeId, b: NodeId) -> NodeId {
-        let (tx, tb) = (&self.nodes[x.0].value, &self.nodes[b.0].value);
+        let (tx, tb) = (self.nodes.value(x), self.nodes.value(b));
         let c = *tx.shape.last().expect("non-scalar");
         assert_eq!(tb.shape, vec![c], "bias must be ({c})");
         let mut data = self.pool.take_full(tx.data.len());
@@ -300,7 +357,7 @@ impl<'b> Graph<'b> {
     ///
     /// Panics unless `x` is 4-D and `b` is `(C)`.
     pub fn add_bias_channel(&mut self, x: NodeId, b: NodeId) -> NodeId {
-        let (tx, tb) = (&self.nodes[x.0].value, &self.nodes[b.0].value);
+        let (tx, tb) = (self.nodes.value(x), self.nodes.value(b));
         assert_eq!(tx.shape.len(), 4, "expected NCHW input");
         let (c, hw) = (tx.shape[1], tx.shape[2] * tx.shape[3]);
         assert_eq!(tb.shape, vec![c], "bias must be ({c})");
@@ -331,7 +388,7 @@ impl<'b> Graph<'b> {
     /// widen in stack-resident chunks, which is bit-identical to the old
     /// staging but keeps the working set in cache.
     pub fn unary(&mut self, x: NodeId, kind: UnaryKind) -> NodeId {
-        let tx = &self.nodes[x.0].value;
+        let tx = self.nodes.value(x);
         let shape = tx.shape.clone();
         let mut data = self.pool.take_full(tx.data.len());
         self.backend.eval_many_f32(kind, &tx.data, &mut data);
@@ -347,7 +404,7 @@ impl<'b> Graph<'b> {
     ///
     /// Panics on rank/shape mismatch.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (ta, tb) = (self.nodes.value(a), self.nodes.value(b));
         assert_eq!(ta.shape.len(), 2, "matmul lhs must be 2-D");
         assert_eq!(tb.shape.len(), 2, "matmul rhs must be 2-D");
         let (m, k) = (ta.shape[0], ta.shape[1]);
@@ -364,7 +421,7 @@ impl<'b> Graph<'b> {
     ///
     /// Panics on rank/shape mismatch.
     pub fn batch_matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (ta, tb) = (self.nodes.value(a), self.nodes.value(b));
         assert_eq!(ta.shape.len(), 3, "batch_matmul lhs must be 3-D");
         assert_eq!(tb.shape.len(), 3, "batch_matmul rhs must be 3-D");
         let (bs, m, k) = (ta.shape[0], ta.shape[1], ta.shape[2]);
@@ -395,7 +452,7 @@ impl<'b> Graph<'b> {
     ///
     /// Panics if `x` is not 3-D.
     pub fn transpose_last2(&mut self, x: NodeId) -> NodeId {
-        let tx = &self.nodes[x.0].value;
+        let tx = self.nodes.value(x);
         assert_eq!(tx.shape.len(), 3, "transpose_last2 expects 3-D");
         let (b, m, n) = (tx.shape[0], tx.shape[1], tx.shape[2]);
         let mut out = self.pool.take_full(b * m * n);
@@ -420,7 +477,7 @@ impl<'b> Graph<'b> {
     ///
     /// Panics if the element counts differ.
     pub fn reshape(&mut self, x: NodeId, shape: &[usize]) -> NodeId {
-        let tx = &self.nodes[x.0].value;
+        let tx = self.nodes.value(x);
         assert_eq!(
             tx.data.len(),
             shape.iter().product::<usize>(),
@@ -441,7 +498,7 @@ impl<'b> Graph<'b> {
     /// same kernel the fused [`Graph::softmax`] uses, which is what keeps
     /// fused ≡ unfused bit-exact.
     pub fn row_max_sub_detach(&mut self, x: NodeId) -> NodeId {
-        let tx = &self.nodes[x.0].value;
+        let tx = self.nodes.value(x);
         let c = *tx.shape.last().expect("non-scalar");
         let mut data = self.pool.take_full(tx.data.len());
         for (row, orow) in tx.data.chunks_exact(c).zip(data.chunks_exact_mut(c)) {
@@ -455,7 +512,7 @@ impl<'b> Graph<'b> {
     /// Per-row sum: `(…, C) → (rows, 1)` (pinned-order
     /// [`gqa_simd::sum_f32`] reduction, shared with the fused layer).
     pub fn row_sum(&mut self, x: NodeId) -> NodeId {
-        let tx = &self.nodes[x.0].value;
+        let tx = self.nodes.value(x);
         let c = *tx.shape.last().expect("non-scalar");
         let rows = tx.len() / c;
         let mut data = self.pool.take_full(rows);
@@ -468,7 +525,7 @@ impl<'b> Graph<'b> {
     /// Per-row mean: `(…, C) → (rows, 1)` (pinned-order sum, then one
     /// divide — the spelling the fused LayerNorm replays).
     pub fn row_mean(&mut self, x: NodeId) -> NodeId {
-        let tx = &self.nodes[x.0].value;
+        let tx = self.nodes.value(x);
         let c = *tx.shape.last().expect("non-scalar");
         let rows = tx.len() / c;
         let mut data = self.pool.take_full(rows);
@@ -484,7 +541,7 @@ impl<'b> Graph<'b> {
     ///
     /// Panics if `r`'s row count does not match.
     pub fn mul_row(&mut self, x: NodeId, r: NodeId) -> NodeId {
-        let (tx, tr) = (&self.nodes[x.0].value, &self.nodes[r.0].value);
+        let (tx, tr) = (self.nodes.value(x), self.nodes.value(r));
         let c = *tx.shape.last().expect("non-scalar");
         let rows = tx.len() / c;
         assert_eq!(tr.len(), rows, "row-vector length mismatch");
@@ -507,7 +564,7 @@ impl<'b> Graph<'b> {
     ///
     /// Panics if `r`'s row count does not match.
     pub fn sub_row(&mut self, x: NodeId, r: NodeId) -> NodeId {
-        let (tx, tr) = (&self.nodes[x.0].value, &self.nodes[r.0].value);
+        let (tx, tr) = (self.nodes.value(x), self.nodes.value(r));
         let c = *tx.shape.last().expect("non-scalar");
         let rows = tx.len() / c;
         assert_eq!(tr.len(), rows, "row-vector length mismatch");
@@ -541,7 +598,7 @@ impl<'b> Graph<'b> {
         pad: usize,
         groups: usize,
     ) -> NodeId {
-        let (tx, tw) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
+        let (tx, tw) = (self.nodes.value(x), self.nodes.value(w));
         let out_shape = conv2d_out_shape(tx, tw, stride, pad, groups);
         let mut out = self.pool.take(out_shape.iter().product());
         conv2d_forward(
@@ -573,7 +630,7 @@ impl<'b> Graph<'b> {
     ///
     /// Panics if `x` is not 4-D or `factor == 0`.
     pub fn upsample_nearest(&mut self, x: NodeId, factor: usize) -> NodeId {
-        let tx = &self.nodes[x.0].value;
+        let tx = self.nodes.value(x);
         assert_eq!(tx.shape.len(), 4, "expected NCHW");
         assert!(factor >= 1, "factor must be >= 1");
         let (b, c, h, w) = (tx.shape[0], tx.shape[1], tx.shape[2], tx.shape[3]);
@@ -611,7 +668,7 @@ impl<'b> Graph<'b> {
         assert!(!xs.is_empty(), "concat of nothing");
         let shapes: Vec<Vec<usize>> = xs
             .iter()
-            .map(|&id| self.nodes[id.0].value.shape.clone())
+            .map(|&id| self.nodes.value(id).shape.clone())
             .collect();
         let (b, h, w) = (shapes[0][0], shapes[0][2], shapes[0][3]);
         for s in &shapes {
@@ -624,7 +681,7 @@ impl<'b> Graph<'b> {
             let mut c_off = 0usize;
             for (&id, s) in xs.iter().zip(&shapes) {
                 let c = s[1];
-                let src = &self.nodes[id.0].value.data[bi * c * h * w..(bi + 1) * c * h * w];
+                let src = &self.nodes.value(id).data[bi * c * h * w..(bi + 1) * c * h * w];
                 let dst_start = bi * c_total * h * w + c_off * h * w;
                 out[dst_start..dst_start + c * h * w].copy_from_slice(src);
                 c_off += c;
@@ -646,7 +703,7 @@ impl<'b> Graph<'b> {
     ///
     /// Panics if target length ≠ B·H·W or every pixel is ignored.
     pub fn cross_entropy_nchw(&mut self, logits: NodeId, targets: &[u32], ignore: u32) -> NodeId {
-        let tl = &self.nodes[logits.0].value;
+        let tl = self.nodes.value(logits);
         assert_eq!(tl.shape.len(), 4, "expected NCHW logits");
         let (b, c, h, w) = (tl.shape[0], tl.shape[1], tl.shape[2], tl.shape[3]);
         assert_eq!(targets.len(), b * h * w, "target count mismatch");
@@ -686,7 +743,7 @@ impl<'b> Graph<'b> {
     ///
     /// Panics on shape mismatch.
     pub fn mse_loss(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (ta, tb) = (self.nodes.value(a), self.nodes.value(b));
         assert_eq!(ta.shape, tb.shape, "mse shape mismatch");
         let n = ta.len() as f64;
         let loss: f64 = ta
@@ -705,7 +762,7 @@ impl<'b> Graph<'b> {
 
     /// Mean of all elements (scalar output).
     pub fn mean_all(&mut self, x: NodeId) -> NodeId {
-        let m = self.nodes[x.0].value.mean();
+        let m = self.nodes.value(x).mean();
         self.push(Op::MeanAll(x), Tensor::from_vec(vec![m], &[1]), None)
     }
 
@@ -758,7 +815,7 @@ impl<'b> Graph<'b> {
     /// `tests/fused_equivalence.rs`.
     pub fn softmax(&mut self, x: NodeId) -> NodeId {
         let save = self.training();
-        let tx = &self.nodes[x.0].value;
+        let tx = self.nodes.value(x);
         let c = *tx.shape.last().expect("non-scalar");
         let shape = tx.shape.clone();
         let mut out = self.pool.take_full(tx.data.len());
@@ -791,7 +848,7 @@ impl<'b> Graph<'b> {
     /// backward.
     pub fn layer_norm(&mut self, x: NodeId, eps: f32) -> NodeId {
         let save = self.training();
-        let tx = &self.nodes[x.0].value;
+        let tx = self.nodes.value(x);
         let c = *tx.shape.last().expect("non-scalar");
         let shape = tx.shape.clone();
         let mut out = self.pool.take_full(tx.data.len());
@@ -838,10 +895,10 @@ impl<'b> Graph<'b> {
         beta: NodeId,
         eps: f32,
     ) -> NodeId {
-        let tx = &self.nodes[x.0].value;
+        let tx = self.nodes.value(x);
         let c = *tx.shape.last().expect("non-scalar");
         let shape = tx.shape.clone();
-        let (tg, tb) = (&self.nodes[gamma.0].value, &self.nodes[beta.0].value);
+        let (tg, tb) = (self.nodes.value(gamma), self.nodes.value(beta));
         assert_eq!(tg.shape, vec![c], "gamma must be ({c})");
         assert_eq!(tb.shape, vec![c], "beta must be ({c})");
         let save = self.training();
@@ -896,11 +953,11 @@ impl<'b> Graph<'b> {
         eps: f32,
     ) -> (NodeId, NodeId) {
         let save = self.training();
-        let (tx, ty) = (&self.nodes[x.0].value, &self.nodes[y.0].value);
+        let (tx, ty) = (self.nodes.value(x), self.nodes.value(y));
         assert_eq!(tx.shape, ty.shape, "residual shape mismatch");
         let c = *tx.shape.last().expect("non-scalar");
         let shape = tx.shape.clone();
-        let (tg, tb) = (&self.nodes[gamma.0].value, &self.nodes[beta.0].value);
+        let (tg, tb) = (self.nodes.value(gamma), self.nodes.value(beta));
         assert_eq!(tg.shape, vec![c], "gamma must be ({c})");
         assert_eq!(tb.shape, vec![c], "beta must be ({c})");
         let mut sum = self.pool.take_full(tx.data.len());
@@ -956,9 +1013,9 @@ impl<'b> Graph<'b> {
     pub fn attention(&mut self, q: NodeId, k: NodeId, v: NodeId, scale: f32) -> NodeId {
         let save = self.training();
         let (tq, tk, tv) = (
-            &self.nodes[q.0].value,
-            &self.nodes[k.0].value,
-            &self.nodes[v.0].value,
+            self.nodes.value(q),
+            self.nodes.value(k),
+            self.nodes.value(v),
         );
         assert_eq!(tq.shape.len(), 3, "attention q must be (B, Nq, C)");
         assert_eq!(tk.shape.len(), 3, "attention k must be (B, Nk, C)");
@@ -1042,7 +1099,7 @@ impl<'b> Graph<'b> {
     /// Panics unless `q` is `(1, C)` with `C == cache.dim()`, or if the
     /// cache is empty.
     pub fn attention_decode(&mut self, q: NodeId, cache: &KvCache, scale: f32) -> NodeId {
-        let tq = &self.nodes[q.0].value;
+        let tq = self.nodes.value(q);
         assert_eq!(
             tq.shape.len(),
             2,
@@ -1090,9 +1147,9 @@ impl<'b> Graph<'b> {
     ///
     /// Panics unless `q`, `k`, `v` are `(T, C)` with identical shapes.
     pub fn attention_causal(&mut self, q: NodeId, k: NodeId, v: NodeId, scale: f32) -> NodeId {
-        let tq = &self.nodes[q.0].value;
-        let tk = &self.nodes[k.0].value;
-        let tv = &self.nodes[v.0].value;
+        let tq = self.nodes.value(q);
+        let tk = self.nodes.value(k);
+        let tv = self.nodes.value(v);
         assert_eq!(
             tq.shape.len(),
             2,
@@ -1107,9 +1164,9 @@ impl<'b> Graph<'b> {
         // (t+1)-row prefix, exactly as attention_decode would.
         for t in 0..t_len {
             let (qd, kd, vd) = (
-                &self.nodes[q.0].value.data,
-                &self.nodes[k.0].value.data,
-                &self.nodes[v.0].value.data,
+                &self.nodes.value(q).data,
+                &self.nodes.value(k).data,
+                &self.nodes.value(v).data,
             );
             let _ = fused::attention_rows_f32_pooled(
                 self.backend,
@@ -1142,12 +1199,12 @@ impl<'b> Graph<'b> {
             self.training(),
             "backward() called on an EvalMode::Inference tape"
         );
-        assert_eq!(self.nodes[loss.0].value.len(), 1, "loss must be scalar");
+        assert_eq!(self.nodes.value(loss).len(), 1, "loss must be scalar");
         for g in &mut self.grads {
             *g = None;
         }
         self.grads[loss.0] = Some(vec![1.0]);
-        for i in (0..self.nodes.len()).rev() {
+        for i in (0..self.nodes.0.len()).rev() {
             let Some(dy) = self.grads[i].take() else {
                 continue;
             };
@@ -1159,7 +1216,7 @@ impl<'b> Graph<'b> {
     /// Adds each parameter node's gradient into the store (no-op on
     /// inference tapes, which hold no gradients).
     pub fn accumulate_grads(&self, ps: &mut ParamStore) {
-        for (node, g) in self.nodes.iter().zip(&self.grads) {
+        for (node, g) in self.nodes.0.iter().zip(&self.grads) {
             if let (Some(pid), Some(g)) = (node.param, g.as_ref()) {
                 ps.accumulate(pid, g);
             }
@@ -1181,7 +1238,7 @@ impl<'b> Graph<'b> {
     #[allow(clippy::too_many_lines)]
     fn backprop_node(&mut self, i: usize, dy: &[f32]) {
         // Clone the op descriptor (cheap) to decouple borrows.
-        let op = self.nodes[i].op.clone();
+        let op = self.nodes.0[i].op.clone();
         match op {
             Op::Leaf => {}
             Op::Add(a, b) => {
@@ -1191,12 +1248,12 @@ impl<'b> Graph<'b> {
             Op::Mul(a, b) => {
                 let da: Vec<f32> = dy
                     .iter()
-                    .zip(&self.nodes[b.0].value.data)
+                    .zip(&self.nodes.value(b).data)
                     .map(|(&d, &v)| d * v)
                     .collect();
                 let db: Vec<f32> = dy
                     .iter()
-                    .zip(&self.nodes[a.0].value.data)
+                    .zip(&self.nodes.value(a).data)
                     .map(|(&d, &v)| d * v)
                     .collect();
                 self.acc(a, &da);
@@ -1212,7 +1269,7 @@ impl<'b> Graph<'b> {
             }
             Op::AddBiasLast(x, b) => {
                 self.acc(x, dy);
-                let c = self.nodes[b.0].value.len();
+                let c = self.nodes.value(b).len();
                 // Column sums in flat order: for each column the adds land
                 // row by row, ascending — the same per-element sequence as
                 // a single flat `db[j % c] += dy[j]` walk, minus the
@@ -1227,7 +1284,7 @@ impl<'b> Graph<'b> {
             }
             Op::AddBiasChannel(x, b) => {
                 self.acc(x, dy);
-                let shape = self.nodes[x.0].value.shape.clone();
+                let shape = self.nodes.value(x).shape.clone();
                 let (c, hw) = (shape[1], shape[2] * shape[3]);
                 // Per-channel plane sums in flat order (images ascending,
                 // then ascending within each plane): identical add sequence
@@ -1243,8 +1300,9 @@ impl<'b> Graph<'b> {
                 self.acc(b, &db);
             }
             Op::Unary(x, kind) => {
-                let dx: Vec<f32> = self.nodes[x.0]
-                    .value
+                let dx: Vec<f32> = self
+                    .nodes
+                    .value(x)
                     .data
                     .iter()
                     .zip(dy)
@@ -1253,7 +1311,7 @@ impl<'b> Graph<'b> {
                 self.acc(x, &dx);
             }
             Op::Matmul(a, b) => {
-                let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+                let (ta, tb) = (self.nodes.value(a), self.nodes.value(b));
                 let (m, k) = (ta.shape[0], ta.shape[1]);
                 let n = tb.shape[1];
                 // dA = dY · Bᵀ ; dB = Aᵀ · dY
@@ -1265,7 +1323,7 @@ impl<'b> Graph<'b> {
                 self.acc(b, &db);
             }
             Op::BatchMatmul(a, b) => {
-                let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+                let (ta, tb) = (self.nodes.value(a), self.nodes.value(b));
                 let (bs, m, k) = (ta.shape[0], ta.shape[1], ta.shape[2]);
                 let n = tb.shape[2];
                 let mut da = vec![0.0f32; bs * m * k];
@@ -1292,7 +1350,7 @@ impl<'b> Graph<'b> {
                 self.acc(b, &db);
             }
             Op::TransposeLast2(x) => {
-                let shape = self.nodes[i].value.shape.clone(); // (b, n, m)
+                let shape = self.nodes.value(NodeId(i)).shape.clone(); // (b, n, m)
                 let (b, n, m) = (shape[0], shape[1], shape[2]);
                 let mut dx = vec![0.0f32; b * m * n];
                 // The inverse transpose is the same strided gather with
@@ -1308,26 +1366,26 @@ impl<'b> Graph<'b> {
             Op::Reshape(x) => self.acc(x, dy),
             Op::RowMaxSubDetach(x) => self.acc(x, dy),
             Op::RowSum(x) => {
-                let c = *self.nodes[x.0].value.shape.last().expect("non-scalar");
-                let mut dx = Vec::with_capacity(self.nodes[x.0].value.len());
+                let c = *self.nodes.value(x).shape.last().expect("non-scalar");
+                let mut dx = Vec::with_capacity(self.nodes.value(x).len());
                 for &d in dy {
                     dx.extend(std::iter::repeat_n(d, c));
                 }
                 self.acc(x, &dx);
             }
             Op::RowMean(x) => {
-                let c = *self.nodes[x.0].value.shape.last().expect("non-scalar");
+                let c = *self.nodes.value(x).shape.last().expect("non-scalar");
                 let inv = 1.0 / c as f32;
-                let mut dx = Vec::with_capacity(self.nodes[x.0].value.len());
+                let mut dx = Vec::with_capacity(self.nodes.value(x).len());
                 for &d in dy {
                     dx.extend(std::iter::repeat_n(d * inv, c));
                 }
                 self.acc(x, &dx);
             }
             Op::MulRow(x, r) => {
-                let tx = &self.nodes[x.0].value;
+                let tx = self.nodes.value(x);
                 let c = *tx.shape.last().expect("non-scalar");
-                let tr = &self.nodes[r.0].value;
+                let tr = self.nodes.value(r);
                 let mut dx = vec![0.0f32; tx.len()];
                 let mut dr = vec![0.0f32; tr.len()];
                 for (row_idx, drow) in dy.chunks(c).enumerate() {
@@ -1342,7 +1400,7 @@ impl<'b> Graph<'b> {
             }
             Op::SubRow(x, r) => {
                 self.acc(x, dy);
-                let c = *self.nodes[x.0].value.shape.last().expect("non-scalar");
+                let c = *self.nodes.value(x).shape.last().expect("non-scalar");
                 let dr: Vec<f32> = dy.chunks(c).map(|row| -row.iter().sum::<f32>()).collect();
                 self.acc(r, &dr);
             }
@@ -1354,10 +1412,10 @@ impl<'b> Graph<'b> {
                 groups,
             } => {
                 let (dx, dw) = conv2d_backward(
-                    &self.nodes[x.0].value,
-                    &self.nodes[w.0].value,
+                    self.nodes.value(x),
+                    self.nodes.value(w),
                     dy,
-                    &self.nodes[i].value.shape,
+                    &self.nodes.value(NodeId(i)).shape,
                     stride,
                     pad,
                     groups,
@@ -1366,7 +1424,7 @@ impl<'b> Graph<'b> {
                 self.acc(w, &dw);
             }
             Op::UpsampleNearest(x, factor) => {
-                let xs = self.nodes[x.0].value.shape.clone();
+                let xs = self.nodes.value(x).shape.clone();
                 let (b, c, h, w) = (xs[0], xs[1], xs[2], xs[3]);
                 let (oh, ow) = (h * factor, w * factor);
                 let mut dx = vec![0.0f32; b * c * h * w];
@@ -1382,11 +1440,11 @@ impl<'b> Graph<'b> {
                 self.acc(x, &dx);
             }
             Op::ConcatChannels(xs) => {
-                let out_shape = self.nodes[i].value.shape.clone();
+                let out_shape = self.nodes.value(NodeId(i)).shape.clone();
                 let (b, c_total, h, w) = (out_shape[0], out_shape[1], out_shape[2], out_shape[3]);
                 let mut c_off = 0usize;
                 for &id in &xs {
-                    let c = self.nodes[id.0].value.shape[1];
+                    let c = self.nodes.value(id).shape[1];
                     let mut dx = vec![0.0f32; b * c * h * w];
                     for bi in 0..b {
                         let src_start = bi * c_total * h * w + c_off * h * w;
@@ -1402,7 +1460,7 @@ impl<'b> Graph<'b> {
                 targets,
                 ignore,
             } => {
-                let tl = &self.nodes[logits.0].value;
+                let tl = self.nodes.value(logits);
                 let (b, c, h, w) = (tl.shape[0], tl.shape[1], tl.shape[2], tl.shape[3]);
                 let count = targets.iter().filter(|&&t| t != ignore).count() as f32;
                 let scale = dy[0] / count;
@@ -1428,7 +1486,7 @@ impl<'b> Graph<'b> {
                 self.acc(logits, &dx);
             }
             Op::MseLoss(a, b) => {
-                let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+                let (ta, tb) = (self.nodes.value(a), self.nodes.value(b));
                 let n = ta.len() as f32;
                 let scale = dy[0] * 2.0 / n;
                 let da: Vec<f32> = ta
@@ -1442,7 +1500,7 @@ impl<'b> Graph<'b> {
                 self.acc(b, &db);
             }
             Op::MeanAll(x) => {
-                let n = self.nodes[x.0].value.len();
+                let n = self.nodes.value(x).len();
                 let dx = vec![dy[0] / n as f32; n];
                 self.acc(x, &dx);
             }
@@ -1451,7 +1509,12 @@ impl<'b> Graph<'b> {
             // derivatives, same accumulation order), so fused gradients
             // equal unfused gradients bit for bit.
             Op::FusedSoftmax { x, saved } => {
-                let c = *self.nodes[i].value.shape.last().expect("non-scalar");
+                let c = *self
+                    .nodes
+                    .value(NodeId(i))
+                    .shape
+                    .last()
+                    .expect("non-scalar");
                 let e = &saved.exp;
                 let rows = e.len() / c.max(1);
                 // mul_row(e, inv) backward: d_e = dy·inv[row], and the
@@ -1479,7 +1542,7 @@ impl<'b> Graph<'b> {
                 // from x with the same pinned row-max kernel the forward
                 // used, so the straight-through derivative sees the exact
                 // forward inputs. row_max_sub_detach passes dy through.
-                let tx = &self.nodes[x.0].value;
+                let tx = self.nodes.value(x);
                 let mut dx = vec![0.0f32; e.len()];
                 for (r, row) in tx.data.chunks_exact(c).enumerate() {
                     let m = gqa_simd::max_f32(row);
@@ -1496,7 +1559,12 @@ impl<'b> Graph<'b> {
                 beta,
                 saved,
             } => {
-                let c = *self.nodes[i].value.shape.last().expect("non-scalar");
+                let c = *self
+                    .nodes
+                    .value(NodeId(i))
+                    .shape
+                    .last()
+                    .expect("non-scalar");
                 let centered = &saved.centered;
                 let n = centered.len();
                 let rows = n / c.max(1);
@@ -1515,7 +1583,7 @@ impl<'b> Graph<'b> {
                 // (normed recomputed as centered·inv_std, the forward's
                 // exact multiply).
                 let d_normed = if let Some(gn) = gamma {
-                    let gdata = self.nodes[gn.0].value.data.clone();
+                    let gdata = self.nodes.value(gn).data.clone();
                     let mut dn = vec![0.0f32; n];
                     let mut dg = vec![0.0f32; c];
                     for r in 0..rows {
@@ -1578,9 +1646,9 @@ impl<'b> Graph<'b> {
                 scale,
                 saved,
             } => {
-                let tq = &self.nodes[q.0].value;
+                let tq = self.nodes.value(q);
                 let (bsz, nq, c) = (tq.shape[0], tq.shape[1], tq.shape[2]);
-                let nk = self.nodes[k.0].value.shape[1];
+                let nk = self.nodes.value(k).shape[1];
                 let rows = bsz * nq;
                 // batch_matmul(attn, v) backward. The attention weights
                 // are recomputed from the saved softmax state with the
@@ -1595,7 +1663,7 @@ impl<'b> Graph<'b> {
                 }
                 let mut d_attn = vec![0.0f32; rows * nk];
                 let mut d_v = vec![0.0f32; bsz * nk * c];
-                let tv = &self.nodes[v.0].value;
+                let tv = self.nodes.value(v);
                 for bi in 0..bsz {
                     matmul_nt_f32(
                         &dy[bi * nq * c..(bi + 1) * nq * c],
@@ -1646,8 +1714,8 @@ impl<'b> Graph<'b> {
                     *d *= scale;
                 }
                 // batch_matmul(q, kᵀ) backward, with kᵀ recomputed.
-                let tq = &self.nodes[q.0].value;
-                let tk = &self.nodes[k.0].value;
+                let tq = self.nodes.value(q);
+                let tk = self.nodes.value(k);
                 let mut kt = vec![0.0f32; bsz * c * nk];
                 for bi in 0..bsz {
                     let src = &tk.data[bi * nk * c..(bi + 1) * nk * c];

@@ -36,7 +36,9 @@
 //! materialization and gradient bookkeeping entirely, producing forward
 //! values bit-identical to training tapes. A [`BufferPool`] recycles
 //! tensor buffers across ops and — via [`Graph::recycle`] — across
-//! graphs, so a steady-state forward pass allocates almost nothing.
+//! graphs, so a steady-state forward pass allocates almost nothing, and
+//! [`Graph::scope`] hands a stretch of the forward's dead intermediates
+//! back to the pool before the forward ends.
 //!
 //! ## Example: fit a line
 //!

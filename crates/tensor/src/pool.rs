@@ -11,9 +11,11 @@
 //!
 //! Parked buffers live in power-of-two **size classes** (class `k` holds
 //! capacities in `[2^k, 2^(k+1))`), so [`BufferPool::take`] is an O(1)
-//! pop from the smallest class that can satisfy the request — no free-list
-//! scan on the hot path, and a rows-length request never consumes a
-//! tensor-sized buffer a later op needs.
+//! pop with no free-list scan on the hot path. A request tries its own
+//! class first, then pops the first non-empty larger class unchecked, so
+//! it can take a buffer many times its size when the classes between are
+//! empty (a 73,728-float request can take a 1,327,104-float buffer that
+//! held attention scores).
 //!
 //! [`BufferPool::take`] returns a **zero-filled** buffer, so pooled code is
 //! bit-identical to the `vec![0.0; n]` spelling it replaces — the pool is
@@ -28,8 +30,16 @@
 const CLASSES: usize = 28;
 
 /// Free-list cap: beyond this many parked buffers (across all classes),
-/// returned buffers are dropped instead of parked, bounding steady-state
-/// memory to roughly one tape's working set.
+/// returned buffers are dropped instead of parked.
+///
+/// The cap counts buffers, not bytes, so it does not bound memory to one
+/// tape's working set. A pool that served a large batch keeps that
+/// batch's buffers while it serves small ones. And not every parked
+/// buffer is working set: [`Graph::recycle`](crate::Graph::recycle) also
+/// parks the clone [`Graph::param`](crate::Graph::param) makes of each
+/// weight on every forward, and the buffers callers hand to
+/// [`Graph::input`](crate::Graph::input). No op asks for most of them
+/// again, so a long-lived pool fills its slots with them.
 const MAX_FREE: usize = 512;
 
 /// Size class of a buffer of capacity `cap >= 1`: `floor(log2(cap))`,
