@@ -27,13 +27,11 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use gqa_funcs::NonLinearOp;
-use gqa_models::{argmax, DecoderConfig, TinyDecoder};
+use gqa_models::{argmax, DecoderConfig, ServedDecoder, TinyDecoder};
 use gqa_registry::Method;
 use gqa_serve::{Engine, EngineBuilder, OpPlan, OperatorPlan};
-use gqa_served::{
-    BatchConfig, DecodeState, ModelDecode, ModelForward, ModelSpec, ServedBuilder, ServedConfig,
-};
-use gqa_tensor::{BufferPool, EvalMode, Graph, KvCache, NodeId, ParamStore, Tensor};
+use gqa_served::{BatchConfig, ModelSpec, ServedBuilder, ServedConfig};
+use gqa_tensor::{BufferPool, EvalMode, Graph, ParamStore, Tensor};
 
 /// Steady-state prefix length for the cached-vs-reforward comparison.
 const PREFIX: usize = 128;
@@ -208,58 +206,6 @@ fn bench_greedy_loop(c: &mut Criterion) {
 /// Session capacity for the served sessions (they reset when full).
 const SERVED_MAX_LEN: usize = 128;
 
-/// The served wrapper around [`TinyDecoder`] (same shape as the decode
-/// test suite's): forwards treat each row as a fresh single-token
-/// sequence; the decode entry point runs KV-cached steps.
-struct DecoderModel {
-    model: TinyDecoder,
-    ps: Arc<ParamStore>,
-}
-
-impl DecoderModel {
-    fn new(seed: u64) -> Self {
-        let mut ps = ParamStore::new();
-        let model = TinyDecoder::new(&mut ps, DecoderConfig::benchmark(), seed);
-        Self {
-            model,
-            ps: Arc::new(ps),
-        }
-    }
-}
-
-impl ModelForward for DecoderModel {
-    fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> NodeId {
-        let (rows, vocab) = (g.value(x).shape[0], self.model.config().vocab);
-        let tokens: Vec<usize> = g.value(x).data.iter().map(|&t| t as usize).collect();
-        let mut out = Vec::with_capacity(rows * vocab);
-        for tok in tokens {
-            let logits = self.model.forward_logits(g, &self.ps, &[tok]);
-            out.extend_from_slice(&g.value(logits).data);
-        }
-        g.input(Tensor::from_vec(out, &[rows, vocab]))
-    }
-
-    fn decode(&self) -> Option<&dyn ModelDecode> {
-        Some(self)
-    }
-}
-
-impl ModelDecode for DecoderModel {
-    fn new_state(&self) -> DecodeState {
-        let mut pool = BufferPool::new();
-        Box::new(self.model.new_caches(SERVED_MAX_LEN, &mut pool))
-    }
-
-    fn step(&self, g: &mut Graph<'_>, input: &Tensor, state: &mut DecodeState) -> Tensor {
-        let caches = state
-            .downcast_mut::<Vec<KvCache>>()
-            .expect("decode state is the layer KV caches");
-        let tok = input.data[0] as usize;
-        let logits = self.model.step_logits(g, &self.ps, tok, caches);
-        g.value(logits).clone()
-    }
-}
-
 /// Four tenants greedy-decoding concurrently, closed-loop, through the
 /// threaded server: every poll flushes whatever steps have coalesced
 /// (`max_wait = 0`), so concurrent sessions share batched forwards.
@@ -267,12 +213,11 @@ fn bench_batched_decode(c: &mut Criterion) {
     const SESSIONS: usize = 4;
     const STEPS: usize = 192;
     let vocab = DecoderConfig::benchmark().vocab;
+    let mut ps = ParamStore::new();
+    let model = TinyDecoder::new(&mut ps, DecoderConfig::benchmark(), 7);
+    let adapter = ServedDecoder::new(model, Arc::new(ps), SERVED_MAX_LEN);
     let served = ServedBuilder::new(lut_engine())
-        .with_model(ModelSpec::from_model(
-            "tiny-decoder",
-            &[1],
-            DecoderModel::new(7),
-        ))
+        .with_model(ModelSpec::from_model("tiny-decoder", &[1], adapter))
         .with_config(ServedConfig {
             batch: BatchConfig {
                 max_batch: SESSIONS,

@@ -12,8 +12,13 @@
 //!   HSWISH activations. Operator inventory: **HSWISH, DIV**.
 //! * [`TinyDecoder`] — a small autoregressive decoder stack with a
 //!   KV-cached incremental path ([`DecoderLayer::step`]) bit-identical to
-//!   the full-prefix forward, plus a greedy-decode driver. The serving
-//!   crate's `DecodeSession` and the `decode/*` benches run on it.
+//!   the full-prefix forward, plus a greedy-decode driver.
+//! * [`ServedDecoder`] — the one serving adapter of a `TinyDecoder`: it
+//!   implements `gqa_serve`'s `ModelForward` and `ModelDecode`, and its
+//!   `check_step` refuses an out-of-vocabulary token or a full context
+//!   before the step is queued. The serving crate's `DecodeSession`
+//!   suites, the `decode_loop` example and the `decode/*` benches run
+//!   on it.
 //! * [`ReplaceSet`] — which operators a Table 4/5 row LUT-replaces.
 //!   [`ReplaceSet::to_plan`] turns it into a `gqa_serve::OperatorPlan`;
 //!   an `Engine` built from that plan hands out `Session`s, and a
@@ -44,6 +49,7 @@ mod decoder;
 mod efficientvit;
 mod replace;
 mod segformer;
+mod serving;
 mod train;
 
 pub use decoder::{argmax, DecoderConfig, DecoderLayer, TinyDecoder};
@@ -52,6 +58,7 @@ pub use gqa_registry::{HotSwapBackend, LutBuildError, Method};
 pub use gqa_serve::CalibrationRecorder;
 pub use replace::ReplaceSet;
 pub use segformer::{SegConfig, SegformerLite};
+pub use serving::ServedDecoder;
 pub use train::{
     argmax_nchw, quantize_weights_pot, FinetuneHarness, FinetuneOutcome, SegModel, TrainConfig,
 };

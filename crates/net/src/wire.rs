@@ -75,6 +75,7 @@ mod ec {
     pub const QUOTA_EXCEEDED: u8 = 8;
     pub const UNKNOWN_SESSION: u8 = 9;
     pub const PROTOCOL: u8 = 10;
+    pub const INVALID_STEP: u8 = 11;
 }
 
 /// A malformed or unspeakable frame, detected by the pure codec.
@@ -163,6 +164,9 @@ pub enum RemoteError {
     DecodeUnsupported(u64),
     /// A decode step is already in flight for the session.
     StepPending,
+    /// The model refused a decode step it cannot run (mirrors
+    /// [`ServedError::InvalidStep`]); the session is unchanged.
+    InvalidStep(String),
     /// The server is shutting down.
     ShuttingDown,
     /// Per-tenant admission quota exhausted (mirrors
@@ -201,6 +205,7 @@ impl std::fmt::Display for RemoteError {
                 write!(f, "model {m} does not support incremental decode")
             }
             RemoteError::StepPending => write!(f, "a decode step is already in flight"),
+            RemoteError::InvalidStep(reason) => write!(f, "invalid decode step: {reason}"),
             RemoteError::ShuttingDown => write!(f, "server is shutting down"),
             RemoteError::QuotaExceeded { queued, quota } => {
                 write!(f, "tenant admission quota exhausted ({queued}/{quota})")
@@ -237,6 +242,7 @@ impl From<&ServedError> for RemoteError {
             },
             ServedError::DecodeUnsupported(m) => RemoteError::DecodeUnsupported(*m as u64),
             ServedError::StepPending => RemoteError::StepPending,
+            ServedError::InvalidStep(reason) => RemoteError::InvalidStep(reason.clone()),
             ServedError::ShuttingDown => RemoteError::ShuttingDown,
         }
     }
@@ -590,6 +596,10 @@ pub fn encode_response(frame: &ResponseFrame) -> Vec<u8> {
                     put_u64(&mut out, *m);
                 }
                 RemoteError::StepPending => out.push(ec::STEP_PENDING),
+                RemoteError::InvalidStep(reason) => {
+                    out.push(ec::INVALID_STEP);
+                    put_string(&mut out, reason);
+                }
                 RemoteError::ShuttingDown => out.push(ec::SHUTTING_DOWN),
                 RemoteError::QuotaExceeded { queued, quota } => {
                     out.push(ec::QUOTA_EXCEEDED);
@@ -663,6 +673,9 @@ pub fn decode_response(payload: &[u8]) -> Result<ResponseFrame, WireError> {
                 },
                 ec::UNKNOWN_SESSION => RemoteError::UnknownSession(r.u64()?),
                 ec::PROTOCOL => RemoteError::Protocol(r.string("protocol message not utf-8")?),
+                ec::INVALID_STEP => {
+                    RemoteError::InvalidStep(r.string("invalid-step reason not utf-8")?)
+                }
                 _ => return Err(WireError::Malformed("unknown error code")),
             };
             ResponseFrame::Error(e)
@@ -841,6 +854,7 @@ mod tests {
                 quota: 32,
             }),
             ResponseFrame::Error(RemoteError::Protocol("trailing bytes".into())),
+            ResponseFrame::Error(RemoteError::InvalidStep("token 17 is not an id".into())),
         ];
         for f in &frames {
             assert_eq!(&decode_response(&encode_request_like(f)).unwrap(), f);

@@ -11,21 +11,26 @@
 //! survive the wire with their payloads intact, and a client that
 //! disconnects mid-flight wedges nothing.
 
+use std::io::Read;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use gqa_funcs::NonLinearOp;
-use gqa_models::{DecoderConfig, TinyDecoder};
-use gqa_net::{NetClient, NetConfig, NetError, NetServer, RemoteError};
+use gqa_models::{DecoderConfig, ServedDecoder, TinyDecoder};
+use gqa_net::{
+    decode_response, encode_request, write_frame, NetClient, NetConfig, NetError, NetServer,
+    RemoteError, RequestFrame, ResponseFrame,
+};
 use gqa_serve::{
     shard_file_name, Engine, EngineBuilder, LutRegistry, Method, OpPlan, OperatorPlan, Session,
 };
 use gqa_served::{
-    dispatch_batch, generate_trace, request_input, BatchConfig, DecodeState, LoadGenConfig,
-    ModelDecode, ModelForward, ModelSpec, ServedBuilder, ServedConfig,
+    dispatch_batch, generate_trace, request_input, BatchConfig, LoadGenConfig, ModelSpec,
+    ServedBuilder, ServedConfig,
 };
-use gqa_tensor::{BufferPool, EvalMode, Graph, KvCache, NodeId, ParamStore, Tensor, UnaryKind};
+use gqa_tensor::{BufferPool, EvalMode, Graph, KvCache, ParamStore, Tensor, UnaryKind};
 
 const DIM: usize = 8;
 const MAX_LEN: usize = 32;
@@ -38,8 +43,9 @@ fn exact_engine() -> Engine {
     EngineBuilder::new(OperatorPlan::new()).build().unwrap()
 }
 
-fn lut_engine() -> Engine {
-    EngineBuilder::new(OperatorPlan::new().with(NonLinearOp::Gelu, base_plan()))
+/// An engine serving GELU through the GQA-RM LUT built with `seed`.
+fn gelu_engine(seed: u64) -> Engine {
+    EngineBuilder::new(OperatorPlan::new().with(NonLinearOp::Gelu, base_plan().with_seed(seed)))
         .build()
         .unwrap()
 }
@@ -128,7 +134,7 @@ fn socket_responses_match_batch_of_one_on_the_exact_backend() {
 
 #[test]
 fn socket_responses_match_batch_of_one_on_the_lut_backend() {
-    assert_socket_equivalence(lut_engine(), "lut");
+    assert_socket_equivalence(gelu_engine(1), "lut");
 }
 
 /// A mid-trace [`Engine::swap`] under live socket traffic: responses
@@ -137,7 +143,7 @@ fn socket_responses_match_batch_of_one_on_the_lut_backend() {
 #[test]
 fn socket_equivalence_holds_across_a_mid_trace_swap() {
     let spec = mlp_spec();
-    let server = loopback(lut_engine(), spec.clone());
+    let server = loopback(gelu_engine(1), spec.clone());
     let session = server.served().engine().session();
     let mut pool = BufferPool::new();
     let mut client = NetClient::connect(server.addr(), "swap").unwrap();
@@ -236,71 +242,17 @@ fn socket_equivalence_holds_across_a_mid_trace_refresh() {
 // Decode over the wire
 // ---------------------------------------------------------------------
 
-/// The same served decoder wrapper the served-level decode suite uses:
-/// forwards treat each row as a fresh single-token sequence, the decode
-/// entry point runs KV-cached steps.
-struct DecoderModel {
-    model: TinyDecoder,
-    ps: Arc<ParamStore>,
-}
-
-impl DecoderModel {
-    fn new(seed: u64) -> Self {
-        let mut ps = ParamStore::new();
-        let model = TinyDecoder::new(&mut ps, DecoderConfig::tiny(), seed);
-        Self {
-            model,
-            ps: Arc::new(ps),
-        }
-    }
-}
-
-impl ModelForward for DecoderModel {
-    fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> NodeId {
-        let (rows, vocab) = (g.value(x).shape[0], self.model.config().vocab);
-        let tokens: Vec<usize> = g.value(x).data.iter().map(|&t| t as usize).collect();
-        let mut out = Vec::with_capacity(rows * vocab);
-        for tok in tokens {
-            let logits = self.model.forward_logits(g, &self.ps, &[tok]);
-            out.extend_from_slice(&g.value(logits).data);
-        }
-        g.input(Tensor::from_vec(out, &[rows, vocab]))
-    }
-
-    fn decode(&self) -> Option<&dyn ModelDecode> {
-        Some(self)
-    }
-}
-
-impl ModelDecode for DecoderModel {
-    fn new_state(&self) -> DecodeState {
-        let mut pool = BufferPool::new();
-        Box::new(self.model.new_caches(MAX_LEN, &mut pool))
-    }
-
-    fn step(&self, g: &mut Graph<'_>, input: &Tensor, state: &mut DecodeState) -> Tensor {
-        let caches = state
-            .downcast_mut::<Vec<KvCache>>()
-            .expect("decode state is the layer KV caches");
-        let tok = input.data[0] as usize;
-        let logits = self.model.step_logits(g, &self.ps, tok, caches);
-        g.value(logits).clone()
-    }
+/// The decoder under test, served through the one `TinyDecoder`
+/// adapter.
+fn decoder(seed: u64) -> ServedDecoder {
+    let mut ps = ParamStore::new();
+    let model = TinyDecoder::new(&mut ps, DecoderConfig::tiny(), seed);
+    ServedDecoder::new(model, Arc::new(ps), MAX_LEN)
 }
 
 fn decoder_loopback(engine_seed: u64, model_seed: u64) -> NetServer {
-    let engine = EngineBuilder::new(
-        OperatorPlan::new().with(
-            NonLinearOp::Gelu,
-            OpPlan::new(Method::GqaRm)
-                .with_seed(engine_seed)
-                .with_budget(0.05),
-        ),
-    )
-    .build()
-    .unwrap();
-    let spec = ModelSpec::from_model("tiny-decoder", &[1], DecoderModel::new(model_seed));
-    loopback(engine, spec)
+    let spec = ModelSpec::from_model("tiny-decoder", &[1], decoder(model_seed));
+    loopback(gelu_engine(engine_seed), spec)
 }
 
 fn token_input(tok: usize) -> Tensor {
@@ -311,12 +263,12 @@ fn token_input(tok: usize) -> Tensor {
 /// reproduce.
 fn direct_step_bits(
     session: &Session,
-    dm: &DecoderModel,
+    dm: &ServedDecoder,
     caches: &mut [KvCache],
     tok: usize,
 ) -> Vec<u32> {
     let mut g = Graph::with_mode(session, EvalMode::Inference, BufferPool::new());
-    let logits = dm.model.step_logits(&mut g, &dm.ps, tok, caches);
+    let logits = dm.model().step_logits(&mut g, dm.params(), tok, caches);
     bits(g.value(logits))
 }
 
@@ -330,15 +282,11 @@ fn wire_decode_steps_match_the_direct_model_loop() {
     // Identically-planned reference engine. Each engine owns a private
     // registry; the artifacts match because seeded builds are
     // deterministic.
-    let reference = DecoderModel::new(11);
-    let ref_session = EngineBuilder::new(OperatorPlan::new().with(
-        NonLinearOp::Gelu,
-        OpPlan::new(Method::GqaRm).with_seed(7).with_budget(0.05),
-    ))
-    .build()
-    .unwrap()
-    .session();
-    let mut ref_caches = reference.model.new_caches(MAX_LEN, &mut BufferPool::new());
+    let reference = decoder(11);
+    let ref_session = gelu_engine(7).session();
+    let mut ref_caches = reference
+        .model()
+        .new_caches(MAX_LEN, &mut BufferPool::new());
 
     for (t, &tok) in tokens.iter().enumerate() {
         let got = client.decode_step(session_id, token_input(tok)).unwrap();
@@ -376,21 +324,68 @@ fn decode_sessions_scope_to_their_connection() {
     }
     let sid = second.open_decode(0, 0).unwrap();
 
-    let reference = DecoderModel::new(21);
-    let ref_session = EngineBuilder::new(OperatorPlan::new().with(
-        NonLinearOp::Gelu,
-        OpPlan::new(Method::GqaRm).with_seed(3).with_budget(0.05),
-    ))
-    .build()
-    .unwrap()
-    .session();
-    let mut fresh = reference.model.new_caches(MAX_LEN, &mut BufferPool::new());
+    let reference = decoder(21);
+    let ref_session = gelu_engine(3).session();
+    let mut fresh = reference
+        .model()
+        .new_caches(MAX_LEN, &mut BufferPool::new());
     let got = bits(&second.decode_step(sid, token_input(5)).unwrap());
     assert_eq!(
         got,
         direct_step_bits(&ref_session, &reference, &mut fresh, 5),
         "a fresh wire session must start from fresh KV caches"
     );
+}
+
+/// A decode step the decoder cannot run crosses the wire as a typed
+/// `InvalidStep`, and the session's next step is answered as if the
+/// refused one had never been sent.
+#[test]
+fn invalid_wire_decode_steps_are_refused_typed() {
+    let server = decoder_loopback(5, 13);
+    let reference = decoder(13);
+    let ref_session = gelu_engine(5).session();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut s = timed_connection(&server);
+        let open = RequestFrame::DecodeOpen {
+            tenant: 0,
+            model: 0,
+        };
+        let Some(ResponseFrame::DecodeOpened { session }) = exchange(&mut s, &open) else {
+            panic!("DecodeOpen was not answered with a session");
+        };
+        let bad = RequestFrame::DecodeStep {
+            session,
+            input: Tensor::from_vec(vec![1e9], &[1]),
+        };
+        match exchange(&mut s, &bad) {
+            Some(ResponseFrame::Error(RemoteError::InvalidStep(reason))) => {
+                assert!(reason.contains("token"), "{reason}");
+            }
+            other => panic!("a step with token 1e9 got {other:?}"),
+        }
+        let good = RequestFrame::DecodeStep {
+            session,
+            input: token_input(6),
+        };
+        let Some(ResponseFrame::Output { output }) = exchange(&mut s, &good) else {
+            panic!("the valid step after a refused one was not answered");
+        };
+        let mut fresh = reference
+            .model()
+            .new_caches(MAX_LEN, &mut BufferPool::new());
+        assert_eq!(
+            bits(&output),
+            direct_step_bits(&ref_session, &reference, &mut fresh, 6),
+            "a refused step must append nothing to the session"
+        );
+    }));
+    if let Err(panic) = outcome {
+        // A dead worker leaves a ticket unresolved, and dropping the
+        // server would wait on it.
+        std::mem::forget(server);
+        std::panic::resume_unwind(panic);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -491,8 +486,6 @@ fn mid_flight_disconnect_wedges_nothing() {
     let mut pool = BufferPool::new();
 
     {
-        use gqa_net::{encode_request, write_frame, RequestFrame};
-        use std::net::TcpStream;
         // Raw connection: send a valid Infer and close without reading
         // the response.
         let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -517,26 +510,34 @@ fn mid_flight_disconnect_wedges_nothing() {
     assert_eq!(server.served().stats().completed, 2);
 }
 
-/// One `Infer` on a fresh raw connection whose reads time out, so a
-/// request that never resolves fails the test instead of hanging it.
-/// `None` unless the server answers with an `Output`.
-fn infer_with_timeout(server: &NetServer, input: &Tensor) -> Option<Tensor> {
-    use gqa_net::{decode_response, encode_request, write_frame, RequestFrame, ResponseFrame};
-    use std::io::Read;
+/// A fresh raw connection whose reads time out, so a request that never
+/// resolves fails the test instead of hanging it.
+fn timed_connection(server: &NetServer) -> TcpStream {
+    let s = TcpStream::connect(server.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s
+}
 
-    let mut s = std::net::TcpStream::connect(server.addr()).ok()?;
-    s.set_read_timeout(Some(Duration::from_secs(10))).ok()?;
-    let frame = encode_request(&RequestFrame::Infer {
-        tenant: 0,
-        model: 0,
-        input: input.clone(),
-    });
-    write_frame(&mut s, &frame).ok()?;
+/// Sends `frame` on `s` and reads the response; `None` if the socket
+/// fails or times out first.
+fn exchange(s: &mut TcpStream, frame: &RequestFrame) -> Option<ResponseFrame> {
+    write_frame(s, &encode_request(frame)).ok()?;
     let mut len = [0u8; 4];
     s.read_exact(&mut len).ok()?;
     let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
     s.read_exact(&mut payload).ok()?;
-    match decode_response(&payload).ok()? {
+    decode_response(&payload).ok()
+}
+
+/// One `Infer` on a [`timed_connection`]; `None` unless the server
+/// answers with an `Output`.
+fn infer_with_timeout(server: &NetServer, input: &Tensor) -> Option<Tensor> {
+    let frame = RequestFrame::Infer {
+        tenant: 0,
+        model: 0,
+        input: input.clone(),
+    };
+    match exchange(&mut timed_connection(server), &frame)? {
         ResponseFrame::Output { output } => Some(output),
         _ => None,
     }
@@ -550,7 +551,7 @@ fn infer_with_timeout(server: &NetServer, input: &Tensor) -> Option<Tensor> {
 #[test]
 fn non_finite_payloads_are_answered_and_the_workers_survive() {
     let spec = ModelSpec::new("gelu", &[DIM], |g, x| g.unary(x, UnaryKind::Gelu));
-    let server = loopback(lut_engine(), spec.clone());
+    let server = loopback(gelu_engine(1), spec.clone());
     let session = server.served().engine().session();
     let mut pool = BufferPool::new();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -336,6 +336,9 @@ fn response_codec_round_trips() {
             queued: 64,
             quota: 64,
         }),
+        ResponseFrame::Error(RemoteError::InvalidStep(
+            "the context is full (32 of 32 tokens); reset() starts a fresh sequence".into(),
+        )),
     ];
     for f in frames {
         let rt = decode_response(&encode_response(&f)).unwrap();

@@ -40,6 +40,12 @@
 //!   (`lut-<op>.json`); builds warm-start from them, [`Engine::save_shards`]
 //!   writes them, and [`Engine::refresh`] reloads exactly the shards whose
 //!   file metadata (mtime/length) changed.
+//! * [`ModelForward`] / [`ModelDecode`] — what a servable model is: a
+//!   batched-forward entry point (closures implement it via a blanket
+//!   impl), optionally advertising a KV-cached incremental decode entry
+//!   point whose [`ModelDecode::check_step`] refuses a step it cannot
+//!   run. `gqa-models` implements them for its decoder and `gqa-served`
+//!   drives (and re-exports) them.
 //!
 //! ## Example
 //!
@@ -65,6 +71,7 @@
 mod calibrate;
 mod datapath;
 mod engine;
+mod model;
 mod plan;
 mod session;
 mod store;
@@ -72,6 +79,7 @@ mod store;
 pub use calibrate::CalibrationRecorder;
 pub use datapath::{build_datapath, OpDatapath};
 pub use engine::{Engine, EngineBuilder, EngineError, EngineStats};
+pub use model::{DecodeState, ModelDecode, ModelForward};
 pub use plan::{serve_kind, OpPlan, OperatorPlan};
 pub use session::Session;
 pub use store::shard_file_name;

@@ -45,12 +45,17 @@
 //! * [`ModelForward`] / [`ModelDecode`] — what a servable model is: a
 //!   named batched-forward entry point (closures implement it via a
 //!   blanket impl), optionally advertising a KV-cached incremental
-//!   decode entry point.
+//!   decode entry point. Both are defined in [`gqa_serve`] and
+//!   re-exported here; [`ModelSpec`] registers one under a name and row
+//!   shape. `gqa_models::ServedDecoder` is the `TinyDecoder` adapter.
 //! * [`DecodeSession`] ([`Served::open_decode`]) — per-sequence decode
 //!   handle: one token-step at a time, steps coalesced across sessions,
 //!   each step `to_bits`-identical to the corresponding row of the
 //!   model's full-prefix causal forward (prefix equivalence, pinned by
-//!   `tests/decode.rs` including mid-decode engine swaps).
+//!   `tests/decode.rs` including mid-decode engine swaps). A step the
+//!   model's [`ModelDecode::check_step`] refuses (a token outside the
+//!   vocabulary, a full context) fails with [`ServedError::InvalidStep`]
+//!   before it is queued.
 //! * [`dispatch_batch`] — the single execution path (stack → one pooled
 //!   forward → slice) shared by the workers, the tests, and the benches.
 //! * [`LatencyHistogram`] — log-bucketed lock-free latency recording,
@@ -92,9 +97,10 @@ mod request;
 mod server;
 
 pub use batcher::{Batch, BatchConfig, Coalescer};
+pub use gqa_serve::{DecodeState, ModelDecode, ModelForward};
 pub use histogram::{bucket_bounds, bucket_of, HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use loadgen::{generate_trace, request_input, trace_fingerprint, LoadGenConfig, TraceEntry};
-pub use model::{DecodeState, ModelDecode, ModelForward, ModelSpec};
+pub use model::ModelSpec;
 pub use request::{ModelId, Rejected, Request, ServedError, TenantId};
 pub use server::{
     dispatch_batch, DecodeSession, Served, ServedBuilder, ServedConfig, ServedStats, Ticket,

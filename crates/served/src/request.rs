@@ -92,6 +92,10 @@ pub enum ServedError {
     /// previous step is still in flight — decode steps are strictly
     /// sequential per session; wait on the outstanding ticket first.
     StepPending,
+    /// The model's [`crate::ModelDecode::check_step`] refused a decode
+    /// step (the reason is its message). The step was not queued, and
+    /// the session is unchanged and usable.
+    InvalidStep(String),
     /// The server is shutting down; queued requests are failed rather
     /// than silently dropped.
     ShuttingDown,
@@ -123,6 +127,7 @@ impl std::fmt::Display for ServedError {
             ServedError::StepPending => {
                 write!(f, "a decode step is already in flight for this session")
             }
+            ServedError::InvalidStep(reason) => write!(f, "invalid decode step: {reason}"),
             ServedError::ShuttingDown => write!(f, "server is shutting down"),
         }
     }

@@ -20,12 +20,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use gqa_serve::{Engine, EngineStats, Session};
+use gqa_serve::{DecodeState, Engine, EngineStats, Session};
 use gqa_tensor::{BufferPool, EvalMode, Graph, Tensor};
 
 use crate::batcher::{Batch, BatchConfig, Coalescer};
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
-use crate::model::{DecodeState, ModelSpec};
+use crate::model::ModelSpec;
 use crate::request::{ModelId, Request, ServedError, TenantId};
 
 /// Runs one coalesced batch through `session`: stacks `inputs` into a
@@ -997,7 +997,11 @@ impl DecodeSession {
     ///
     /// [`ServedError::BadShape`] on input-shape mismatch,
     /// [`ServedError::StepPending`] while the previous step is in
-    /// flight, [`ServedError::QuotaExceeded`] / [`ServedError::Rejected`]
+    /// flight, [`ServedError::InvalidStep`] when the model's
+    /// [`ModelDecode::check_step`](crate::ModelDecode::check_step)
+    /// refuses the step (it is not queued, does not count against the
+    /// quota, and leaves the session unchanged),
+    /// [`ServedError::QuotaExceeded`] / [`ServedError::Rejected`]
     /// on backpressure (the step counts against the tenant's quota like
     /// any request; the state is checked back in — the session stays
     /// usable), [`ServedError::ShuttingDown`] after the server started
@@ -1012,12 +1016,16 @@ impl DecodeSession {
                 got: input.shape,
             });
         }
-        let state = self
-            .state
-            .lock()
-            .expect("decode state lock")
-            .take()
-            .ok_or(ServedError::StepPending)?;
+        let state = {
+            let mut home = self.state.lock().expect("decode state lock");
+            let state = home.take().ok_or(ServedError::StepPending)?;
+            let decode = spec.decoder().expect("session exists, model decodes");
+            if let Err(reason) = decode.check_step(&input, &state) {
+                *home = Some(state);
+                return Err(ServedError::InvalidStep(reason));
+            }
+            state
+        };
         let handoff = DecodeHandoff {
             state,
             home: Arc::clone(&self.state),

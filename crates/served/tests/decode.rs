@@ -16,79 +16,32 @@
 //! * **Ticket lifecycle** (`wait_timeout` / `try_consume`) and the
 //!   session state machine (`StepPending`, `reset`, backpressure and
 //!   shutdown check the state back in — a session never bricks).
+//! * **Typed refusal**: a step [`ServedDecoder`] cannot run (a token
+//!   outside the vocabulary, a full context) fails with `InvalidStep`
+//!   before it is queued, appends nothing, and leaves the workers
+//!   serving.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use gqa_funcs::NonLinearOp;
-use gqa_models::{DecoderConfig, TinyDecoder};
+use gqa_models::{DecoderConfig, ServedDecoder, TinyDecoder};
 use gqa_serve::{Engine, EngineBuilder, Method, OpPlan, OperatorPlan, Session};
-use gqa_served::{
-    BatchConfig, DecodeState, ModelDecode, ModelForward, ModelSpec, Request, ServedBuilder,
-    ServedConfig, ServedError,
-};
-use gqa_tensor::{BufferPool, EvalMode, Graph, KvCache, NodeId, ParamStore, Tensor};
+use gqa_served::{BatchConfig, ModelSpec, Request, ServedBuilder, ServedConfig, ServedError};
+use gqa_tensor::{BufferPool, EvalMode, Graph, KvCache, ParamStore, Tensor};
 
 const MAX_LEN: usize = 32;
 
-/// A served wrapper around [`TinyDecoder`]: the forward treats each
-/// request row as a fresh single-token sequence; the decode entry point
-/// runs KV-cached steps.
-struct DecoderModel {
-    model: TinyDecoder,
-    ps: Arc<ParamStore>,
-}
-
-impl DecoderModel {
-    fn new(seed: u64) -> Self {
-        let mut ps = ParamStore::new();
-        let model = TinyDecoder::new(&mut ps, DecoderConfig::tiny(), seed);
-        Self {
-            model,
-            ps: Arc::new(ps),
-        }
-    }
-
-    fn vocab(&self) -> usize {
-        self.model.config().vocab
-    }
-}
-
-impl ModelForward for DecoderModel {
-    fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> NodeId {
-        let (rows, vocab) = (g.value(x).shape[0], self.vocab());
-        let tokens: Vec<usize> = g.value(x).data.iter().map(|&t| t as usize).collect();
-        let mut out = Vec::with_capacity(rows * vocab);
-        for tok in tokens {
-            let logits = self.model.forward_logits(g, &self.ps, &[tok]);
-            out.extend_from_slice(&g.value(logits).data);
-        }
-        g.input(Tensor::from_vec(out, &[rows, vocab]))
-    }
-
-    fn decode(&self) -> Option<&dyn ModelDecode> {
-        Some(self)
-    }
-}
-
-impl ModelDecode for DecoderModel {
-    fn new_state(&self) -> DecodeState {
-        let mut pool = BufferPool::new();
-        Box::new(self.model.new_caches(MAX_LEN, &mut pool))
-    }
-
-    fn step(&self, g: &mut Graph<'_>, input: &Tensor, state: &mut DecodeState) -> Tensor {
-        let caches = state
-            .downcast_mut::<Vec<KvCache>>()
-            .expect("decode state is the layer KV caches");
-        let tok = input.data[0] as usize;
-        let logits = self.model.step_logits(g, &self.ps, tok, caches);
-        g.value(logits).clone()
-    }
+/// The decoder under test, served through the one `TinyDecoder`
+/// adapter.
+fn decoder(seed: u64) -> ServedDecoder {
+    let mut ps = ParamStore::new();
+    let model = TinyDecoder::new(&mut ps, DecoderConfig::tiny(), seed);
+    ServedDecoder::new(model, Arc::new(ps), MAX_LEN)
 }
 
 fn decoder_spec(seed: u64) -> ModelSpec {
-    ModelSpec::from_model("tiny-decoder", &[1], DecoderModel::new(seed))
+    ModelSpec::from_model("tiny-decoder", &[1], decoder(seed))
 }
 
 fn gelu_plan(seed: u64) -> OpPlan {
@@ -115,19 +68,19 @@ fn bits(t: &Tensor) -> Vec<u32> {
 /// path must match bit for bit.
 fn direct_step_bits(
     session: &Session,
-    dm: &DecoderModel,
+    dm: &ServedDecoder,
     caches: &mut [KvCache],
     tok: usize,
 ) -> Vec<u32> {
     let mut g = Graph::with_mode(session, EvalMode::Inference, BufferPool::new());
-    let logits = dm.model.step_logits(&mut g, &dm.ps, tok, caches);
+    let logits = dm.model().step_logits(&mut g, dm.params(), tok, caches);
     bits(g.value(logits))
 }
 
 /// Last row of the full-prefix causal forward over `tokens` on `session`.
-fn prefix_last_row_bits(session: &Session, dm: &DecoderModel, tokens: &[usize]) -> Vec<u32> {
+fn prefix_last_row_bits(session: &Session, dm: &ServedDecoder, tokens: &[usize]) -> Vec<u32> {
     let mut g = Graph::with_mode(session, EvalMode::Inference, BufferPool::new());
-    let logits = dm.model.forward_logits(&mut g, &dm.ps, tokens);
+    let logits = dm.model().forward_logits(&mut g, dm.params(), tokens);
     let v = g.value(logits);
     let w = v.shape[1];
     v.data[(tokens.len() - 1) * w..]
@@ -147,9 +100,11 @@ fn decode_session_is_prefix_equivalent_on_a_lut_engine() {
     // Reference: a second engine with the identical plan driving the
     // model directly. Each engine owns a private registry; the artifacts
     // match because seeded builds are deterministic.
-    let reference = DecoderModel::new(11);
+    let reference = decoder(11);
     let ref_session = lut_engine(7).session();
-    let mut ref_caches = reference.model.new_caches(MAX_LEN, &mut BufferPool::new());
+    let mut ref_caches = reference
+        .model()
+        .new_caches(MAX_LEN, &mut BufferPool::new());
 
     for (t, &tok) in tokens.iter().enumerate() {
         let got = bits(&session.step(token_input(tok)).unwrap().wait().unwrap());
@@ -177,10 +132,12 @@ fn mid_decode_swap_retunes_the_remaining_steps_exactly() {
         .build();
     let session = served.open_decode(0, 0).unwrap();
 
-    let reference = DecoderModel::new(5);
+    let reference = decoder(5);
     let ref_engine = lut_engine(1);
     let ref_session = ref_engine.session();
-    let mut ref_caches = reference.model.new_caches(MAX_LEN, &mut BufferPool::new());
+    let mut ref_caches = reference
+        .model()
+        .new_caches(MAX_LEN, &mut BufferPool::new());
 
     for (t, &tok) in tokens.iter().enumerate() {
         if t == swap_at {
@@ -231,10 +188,12 @@ fn decode_coalescing_is_invisible_across_sessions() {
 
     // Solo reference: each sequence stepped alone through the direct
     // model loop on an identically-planned engine.
-    let reference = DecoderModel::new(21);
+    let reference = decoder(21);
     let ref_session = lut_engine(3).session();
     let solo = |toks: &[usize]| -> Vec<Vec<u32>> {
-        let mut caches = reference.model.new_caches(MAX_LEN, &mut BufferPool::new());
+        let mut caches = reference
+            .model()
+            .new_caches(MAX_LEN, &mut BufferPool::new());
         toks.iter()
             .map(|&t| direct_step_bits(&ref_session, &reference, &mut caches, t))
             .collect()
@@ -271,7 +230,7 @@ fn forward_requests_still_work_on_a_decodable_model() {
     let served = ServedBuilder::new(lut_engine(9))
         .with_model(decoder_spec(13))
         .build();
-    let reference = DecoderModel::new(13);
+    let reference = decoder(13);
     let ref_session = lut_engine(9).session();
     let out = served
         .serve(Request {
@@ -400,4 +359,79 @@ fn reset_starts_a_fresh_sequence() {
         first, again,
         "a reset session replays the first step bit-identically"
     );
+}
+
+/// Steps the decoder cannot run — a token outside `0..vocab`, a negative,
+/// non-integer or non-finite token, a step past the KV capacity — are
+/// refused at submit with a typed `InvalidStep`. A refused step is never
+/// queued and leaves the session as it was, and the workers keep serving.
+#[test]
+fn invalid_steps_are_refused_typed_and_the_workers_survive() {
+    let served = ServedBuilder::new(lut_engine(12))
+        .with_model(decoder_spec(31))
+        .build();
+    let reference = decoder(31);
+    let ref_session = lut_engine(12).session();
+    let vocab = reference.model().config().vocab;
+    let fresh_step = |tok| {
+        let mut caches = reference
+            .model()
+            .new_caches(MAX_LEN, &mut BufferPool::new());
+        direct_step_bits(&ref_session, &reference, &mut caches, tok)
+    };
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let session = served.open_decode(0, 0).unwrap();
+        for bad in [vocab as f32, -1.0, f32::NAN, 2.5, 1e9] {
+            match session.step(Tensor::from_vec(vec![bad], &[1])) {
+                Err(ServedError::InvalidStep(reason)) => {
+                    assert!(reason.contains("token"), "{reason}");
+                }
+                other => panic!("a step with token {bad} got {other:?}"),
+            }
+            assert!(!session.is_step_pending());
+        }
+        let first = bits(&session.step(token_input(4)).unwrap().wait().unwrap());
+        assert_eq!(first, fresh_step(4), "a refused step must append nothing");
+
+        for t in 1..MAX_LEN {
+            session
+                .step(token_input(t % vocab))
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
+        match session.step(token_input(3)) {
+            Err(ServedError::InvalidStep(reason)) => {
+                assert!(reason.contains("reset()"), "{reason}");
+            }
+            other => panic!("a step past the context got {other:?}"),
+        }
+        session.reset().unwrap();
+        let again = bits(&session.step(token_input(4)).unwrap().wait().unwrap());
+        assert_eq!(again, first, "a reset session steps again");
+
+        let stats = served.stats();
+        assert_eq!(
+            (stats.submitted, stats.rejected),
+            (MAX_LEN as u64 + 1, 0),
+            "refused steps are never queued: {stats}"
+        );
+        let out = served
+            .serve(Request {
+                tenant: 0,
+                model: 0,
+                input: token_input(5),
+            })
+            .unwrap();
+        assert_eq!(
+            bits(&out),
+            prefix_last_row_bits(&ref_session, &reference, &[5])
+        );
+    }));
+    if let Err(panic) = outcome {
+        // A dead worker leaves a ticket unresolved, and dropping the
+        // server would wait on it.
+        std::mem::forget(served);
+        std::panic::resume_unwind(panic);
+    }
 }

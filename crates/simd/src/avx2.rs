@@ -27,9 +27,9 @@ use std::arch::x86_64::{
     _mm256_or_pd, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd,
     _mm256_setzero_ps, _mm256_slli_epi64, _mm256_sqrt_pd, _mm256_srli_epi64, _mm256_storeu_pd,
     _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_pd, _mm256_sub_ps, _mm_add_epi32, _mm_add_pd,
-    _mm_add_ps, _mm_add_ss, _mm_cvtsd_f64, _mm_cvtss_f32, _mm_max_pd, _mm_max_ps, _mm_max_ss,
-    _mm_movehl_ps, _mm_set1_epi32, _mm_shuffle_ps, _mm_srai_epi32, _mm_sub_epi32, _mm_unpackhi_pd,
-    _CMP_EQ_OQ, _CMP_GE_OQ, _CMP_GT_OQ, _CMP_LT_OQ, _CMP_UNORD_Q,
+    _mm_add_ps, _mm_add_ss, _mm_cvtsd_f64, _mm_cvtss_f32, _mm_max_ps, _mm_max_ss, _mm_movehl_ps,
+    _mm_set1_epi32, _mm_shuffle_ps, _mm_srai_epi32, _mm_sub_epi32, _mm_unpackhi_pd, _CMP_EQ_OQ,
+    _CMP_GE_OQ, _CMP_GT_OQ, _CMP_LT_OQ, _CMP_UNORD_Q,
 };
 
 use crate::scalar;
@@ -245,16 +245,6 @@ unsafe fn hmax_f32(accv: __m256) -> f32 {
     _mm_cvtss_f32(_mm_max_ss(q, _mm_shuffle_ps::<1>(q, q)))
 }
 
-/// `(l0 + l2) + (l1 + l3)` over four f64 lanes (the `sum_sq_diff` shape).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn hsum_f64(accv: __m256d) -> f64 {
-    let lo = _mm256_castpd256_pd128(accv);
-    let hi = _mm256_extractf128_pd::<1>(accv);
-    let pair = _mm_add_pd(lo, hi); // [l0+l2, l1+l3]
-    _mm_cvtsd_f64(_mm_add_pd(pair, _mm_unpackhi_pd(pair, pair)))
-}
-
 #[target_feature(enable = "avx2")]
 pub unsafe fn sum_f32(xs: &[f32]) -> f32 {
     let n = xs.len();
@@ -309,62 +299,6 @@ pub unsafe fn max_f32(xs: &[f32]) -> f32 {
 }
 
 #[target_feature(enable = "avx2")]
-pub unsafe fn sum_f64(xs: &[f64]) -> f64 {
-    let n = xs.len();
-    let n4 = n - n % 4;
-    let mut accv = _mm256_setzero_pd();
-    let mut i = 0usize;
-    while i < n4 {
-        accv = _mm256_add_pd(accv, _mm256_loadu_pd(xs.as_ptr().add(i)));
-        i += 4;
-    }
-    let mut acc = hsum_f64(accv);
-    for j in n4..n {
-        acc += *xs.get_unchecked(j);
-    }
-    acc
-}
-
-#[target_feature(enable = "avx2")]
-pub unsafe fn sum_sq_f64(xs: &[f64]) -> f64 {
-    let n = xs.len();
-    let n4 = n - n % 4;
-    let mut accv = _mm256_setzero_pd();
-    let mut i = 0usize;
-    while i < n4 {
-        let x = _mm256_loadu_pd(xs.as_ptr().add(i));
-        accv = _mm256_add_pd(accv, _mm256_mul_pd(x, x));
-        i += 4;
-    }
-    let mut acc = hsum_f64(accv);
-    for j in n4..n {
-        let x = *xs.get_unchecked(j);
-        acc += x * x;
-    }
-    acc
-}
-
-#[target_feature(enable = "avx2")]
-pub unsafe fn max_f64(xs: &[f64]) -> f64 {
-    let n = xs.len();
-    let n4 = n - n % 4;
-    let mut accv = _mm256_set1_pd(f64::NEG_INFINITY);
-    let mut i = 0usize;
-    while i < n4 {
-        accv = _mm256_max_pd(accv, _mm256_loadu_pd(xs.as_ptr().add(i)));
-        i += 4;
-    }
-    let lo = _mm256_castpd256_pd128(accv);
-    let hi = _mm256_extractf128_pd::<1>(accv);
-    let pair = _mm_max_pd(lo, hi); // [maxps(l0,l2), maxps(l1,l3)]
-    let mut acc = _mm_cvtsd_f64(_mm_max_pd(pair, _mm_unpackhi_pd(pair, pair)));
-    for j in n4..n {
-        acc = crate::scalar::maxps(acc, *xs.get_unchecked(j));
-    }
-    acc
-}
-
-#[target_feature(enable = "avx2")]
 pub unsafe fn sub_scalar_f32(c: f32, xs: &[f32], out: &mut [f32]) {
     let n = xs.len();
     let cv = _mm256_set1_ps(c);
@@ -413,22 +347,6 @@ pub unsafe fn add_f32(xs: &[f32], ys: &[f32], out: &mut [f32]) {
 }
 
 #[target_feature(enable = "avx2")]
-pub unsafe fn sub_scalar_f64(c: f64, xs: &[f64], out: &mut [f64]) {
-    let n = xs.len();
-    let cv = _mm256_set1_pd(c);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let x = _mm256_loadu_pd(xs.as_ptr().add(i));
-        _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_sub_pd(x, cv));
-        i += 4;
-    }
-    while i < n {
-        *out.get_unchecked_mut(i) = *xs.get_unchecked(i) - c;
-        i += 1;
-    }
-}
-
-#[target_feature(enable = "avx2")]
 pub unsafe fn scale_f32(c: f32, xs: &[f32], out: &mut [f32]) {
     let n = xs.len();
     let cv = _mm256_set1_ps(c);
@@ -437,22 +355,6 @@ pub unsafe fn scale_f32(c: f32, xs: &[f32], out: &mut [f32]) {
         let x = _mm256_loadu_ps(xs.as_ptr().add(i));
         _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_mul_ps(x, cv));
         i += 8;
-    }
-    while i < n {
-        *out.get_unchecked_mut(i) = *xs.get_unchecked(i) * c;
-        i += 1;
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub unsafe fn scale_f64(c: f64, xs: &[f64], out: &mut [f64]) {
-    let n = xs.len();
-    let cv = _mm256_set1_pd(c);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let x = _mm256_loadu_pd(xs.as_ptr().add(i));
-        _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_mul_pd(x, cv));
-        i += 4;
     }
     while i < n {
         *out.get_unchecked_mut(i) = *xs.get_unchecked(i) * c;

@@ -17,14 +17,13 @@
 //!   **pinned reduction shape** (see below).
 //! * [`relu_f64`] / [`hswish_f64`] / [`relu_f32`] — the branch-free unary
 //!   activations of the tensor backend.
-//! * [`sum_f32`] / [`sum_sq_f32`] / [`max_f32`] (+ `f64` twins) — the
+//! * [`sum_f32`] / [`sum_sq_f32`] / [`max_f32`] — the
 //!   **pinned-order row reductions** of the fused softmax/LayerNorm
 //!   execution layer, shared with the unfused `row_sum` / `row_mean` /
 //!   `row_max_sub_detach` graph primitives so fused ≡ unfused holds bit
 //!   for bit.
-//! * [`sub_scalar_f32`] / [`scale_f32`] / [`norm_affine_f32`] (+ `f64`
-//!   twins where applicable) — the element-wise row sweeps those fused
-//!   kernels are assembled from.
+//! * [`sub_scalar_f32`] / [`scale_f32`] / [`norm_affine_f32`] — the
+//!   element-wise row sweeps those fused kernels are assembled from.
 //! * [`matmul_acc_f32`] / [`matmul_nt_f32`] / [`matmul_tn_f32`] /
 //!   [`gather_stride_f32`] — the blocked, vectorized matmul kernel
 //!   family behind `Graph::matmul`, im2col convolution, and fused
@@ -327,28 +326,6 @@ pub fn max_f32(xs: &[f32]) -> f32 {
     dispatch!(avx2::max_f32(xs), scalar::max_f32(xs))
 }
 
-/// Pinned-order sum of an `f64` row: the four-lane `sum_sq_diff` shape —
-/// stride-4 lane accumulators, `(l0 + l2) + (l1 + l3)` combine,
-/// sequential tail. Bit-identical simd on/off. Returns `0.0` when empty.
-#[must_use]
-pub fn sum_f64(xs: &[f64]) -> f64 {
-    dispatch!(avx2::sum_f64(xs), scalar::sum_f64(xs))
-}
-
-/// Pinned-order sum of squares of an `f64` row (four-lane shape of
-/// [`sum_f64`], squaring before accumulation).
-#[must_use]
-pub fn sum_sq_f64(xs: &[f64]) -> f64 {
-    dispatch!(avx2::sum_sq_f64(xs), scalar::sum_sq_f64(xs))
-}
-
-/// Pinned-order row max of an `f64` row (`maxpd` semantics, four-lane
-/// combine in the [`sum_f64`] pair order). Returns `-∞` when empty.
-#[must_use]
-pub fn max_f64(xs: &[f64]) -> f64 {
-    dispatch!(avx2::max_f64(xs), scalar::max_f64(xs))
-}
-
 /// `out[i] = xs[i] − c` — the row-shift sweep of the fused softmax
 /// (subtracting the row max) and LayerNorm (subtracting the mean).
 /// Element-wise, so trivially bit-identical simd on/off.
@@ -392,19 +369,6 @@ pub fn add_f32(xs: &[f32], ys: &[f32], out: &mut [f32]) {
     dispatch!(avx2::add_f32(xs, ys, out), scalar::add_f32(xs, ys, out))
 }
 
-/// `out[i] = xs[i] − c` in `f64` (twin of [`sub_scalar_f32`]).
-///
-/// # Panics
-///
-/// Panics if `xs.len() != out.len()`.
-pub fn sub_scalar_f64(c: f64, xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "batch length mismatch");
-    dispatch!(
-        avx2::sub_scalar_f64(c, xs, out),
-        scalar::sub_scalar_f64(c, xs, out)
-    )
-}
-
 /// `out[i] = xs[i] · c` — the deferred-rescale sweep of the fused softmax
 /// (multiplying a row of exponentials by the reciprocal denominator).
 ///
@@ -414,16 +378,6 @@ pub fn sub_scalar_f64(c: f64, xs: &[f64], out: &mut [f64]) {
 pub fn scale_f32(c: f32, xs: &[f32], out: &mut [f32]) {
     assert_eq!(xs.len(), out.len(), "batch length mismatch");
     dispatch!(avx2::scale_f32(c, xs, out), scalar::scale_f32(c, xs, out))
-}
-
-/// `out[i] = xs[i] · c` in `f64` (twin of [`scale_f32`]).
-///
-/// # Panics
-///
-/// Panics if `xs.len() != out.len()`.
-pub fn scale_f64(c: f64, xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "batch length mismatch");
-    dispatch!(avx2::scale_f64(c, xs, out), scalar::scale_f64(c, xs, out))
 }
 
 /// The fused LayerNorm affine sweep over one row:
@@ -699,33 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn f64_row_reductions_match_pinned_order() {
-        for n in [0usize, 1, 3, 4, 5, 13, 401] {
-            let xs = xs_f64(n);
-            let n4 = n - n % 4;
-            let mut lanes = [0.0f64; 4];
-            for c in xs[..n4].chunks_exact(4) {
-                for (l, &x) in lanes.iter_mut().zip(c) {
-                    *l += x;
-                }
-            }
-            let mut want = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-            for &x in &xs[n4..] {
-                want += x;
-            }
-            assert_eq!(sum_f64(&xs).to_bits(), want.to_bits(), "n={n}");
-
-            let sq: Vec<f64> = xs.iter().map(|&x| x * x).collect();
-            assert_eq!(sum_sq_f64(&xs).to_bits(), sum_f64(&sq).to_bits(), "n={n}");
-
-            let want_max = xs.iter().fold(f64::NEG_INFINITY, |a, &x| a.max(x));
-            if n > 0 {
-                assert_eq!(max_f64(&xs), want_max, "n={n}");
-            }
-        }
-    }
-
-    #[test]
     fn elementwise_row_sweeps_match_scalar_spelling() {
         let n = 37;
         let xs32: Vec<f32> = (0..n).map(|i| (i as f32 - 17.0) * 0.31).collect();
@@ -744,17 +671,6 @@ mod tests {
         for j in 0..n {
             let want = ((xs32[j] * 0.8) * gamma[j]) + beta[j];
             assert_eq!(out32[j].to_bits(), want.to_bits(), "j={j}");
-        }
-
-        let xs64 = xs_f64(n);
-        let mut out64 = vec![0.0f64; n];
-        sub_scalar_f64(0.625, &xs64, &mut out64);
-        for (&x, &y) in xs64.iter().zip(&out64) {
-            assert_eq!(y.to_bits(), (x - 0.625).to_bits());
-        }
-        scale_f64(1.7, &xs64, &mut out64);
-        for (&x, &y) in xs64.iter().zip(&out64) {
-            assert_eq!(y.to_bits(), (x * 1.7).to_bits());
         }
     }
 
@@ -888,9 +804,6 @@ mod tests {
             scalar::sum_sq_f32(&xs32).to_bits()
         );
         assert_eq!(max_f32(&xs32).to_bits(), scalar::max_f32(&xs32).to_bits());
-        assert_eq!(sum_f64(&xs).to_bits(), scalar::sum_f64(&xs).to_bits());
-        assert_eq!(sum_sq_f64(&xs).to_bits(), scalar::sum_sq_f64(&xs).to_bits());
-        assert_eq!(max_f64(&xs).to_bits(), scalar::max_f64(&xs).to_bits());
         let (mut a32, mut b32) = (vec![0.0f32; 97], vec![0.0f32; 97]);
         sub_scalar_f32(0.3, &xs32, &mut a32);
         scalar::sub_scalar_f32(0.3, &xs32, &mut b32);

@@ -92,21 +92,20 @@ pub fn relu_f32(xs: &[f32], out: &mut [f32]) {
 // ---------------------------------------------------------------------------
 // Pinned-order row reductions (the fused softmax/LayerNorm kernels).
 //
-// The f32 kernels replay the eight-lane AVX2 shape: stride-8 lane
+// The kernels replay the eight-lane AVX2 shape: stride-8 lane
 // accumulators over the aligned prefix, lanes combined pairwise as
 // (l_j ⊕ l_{j+4}) for j = 0..4, those four partials combined as
-// (p0 ⊕ p2) ⊕ (p1 ⊕ p3), then a sequential tail. The f64 kernels use the
-// four-lane shape of `sum_sq_diff`: (l0 ⊕ l2) ⊕ (l1 ⊕ l3), sequential
-// tail. The order is the contract — simd on/off must agree bit for bit.
+// (p0 ⊕ p2) ⊕ (p1 ⊕ p3), then a sequential tail. The order is the
+// contract — simd on/off must agree bit for bit.
 // ---------------------------------------------------------------------------
 
-/// `maxps`/`maxpd` semantics: the accumulator wins only on a strict
-/// compare, so ties at ±0.0 and NaN elements resolve to the second
-/// operand — exactly the vector instruction's rule. `pub(crate)` so the
-/// AVX2 module's tail loops reuse the one definition (a divergence here
-/// would split the simd-on/simd-off contract).
+/// `maxps` semantics: the accumulator wins only on a strict compare, so
+/// ties at ±0.0 and NaN elements resolve to the second operand — exactly
+/// the vector instruction's rule. `pub(crate)` so the AVX2 module's tail
+/// loops reuse the one definition (a divergence here would split the
+/// simd-on/simd-off contract).
 #[inline]
-pub(crate) fn maxps<T: PartialOrd>(a: T, b: T) -> T {
+pub(crate) fn maxps(a: f32, b: f32) -> f32 {
     if a > b {
         a
     } else {
@@ -177,51 +176,6 @@ pub fn max_f32(xs: &[f32]) -> f32 {
     acc
 }
 
-pub fn sum_f64(xs: &[f64]) -> f64 {
-    let n4 = xs.len() - xs.len() % 4;
-    let mut lanes = [0.0f64; 4];
-    for c in xs[..n4].chunks_exact(4) {
-        for (l, &x) in lanes.iter_mut().zip(c) {
-            *l += x;
-        }
-    }
-    let mut acc = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-    for &x in &xs[n4..] {
-        acc += x;
-    }
-    acc
-}
-
-pub fn sum_sq_f64(xs: &[f64]) -> f64 {
-    let n4 = xs.len() - xs.len() % 4;
-    let mut lanes = [0.0f64; 4];
-    for c in xs[..n4].chunks_exact(4) {
-        for (l, &x) in lanes.iter_mut().zip(c) {
-            *l += x * x;
-        }
-    }
-    let mut acc = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-    for &x in &xs[n4..] {
-        acc += x * x;
-    }
-    acc
-}
-
-pub fn max_f64(xs: &[f64]) -> f64 {
-    let n4 = xs.len() - xs.len() % 4;
-    let mut lanes = [f64::NEG_INFINITY; 4];
-    for c in xs[..n4].chunks_exact(4) {
-        for (l, &x) in lanes.iter_mut().zip(c) {
-            *l = maxps(*l, x);
-        }
-    }
-    let mut acc = maxps(maxps(lanes[0], lanes[2]), maxps(lanes[1], lanes[3]));
-    for &x in &xs[n4..] {
-        acc = maxps(acc, x);
-    }
-    acc
-}
-
 pub fn sub_scalar_f32(c: f32, xs: &[f32], out: &mut [f32]) {
     for (y, &x) in out.iter_mut().zip(xs) {
         *y = x - c;
@@ -240,19 +194,7 @@ pub fn add_f32(xs: &[f32], ys: &[f32], out: &mut [f32]) {
     }
 }
 
-pub fn sub_scalar_f64(c: f64, xs: &[f64], out: &mut [f64]) {
-    for (y, &x) in out.iter_mut().zip(xs) {
-        *y = x - c;
-    }
-}
-
 pub fn scale_f32(c: f32, xs: &[f32], out: &mut [f32]) {
-    for (y, &x) in out.iter_mut().zip(xs) {
-        *y = x * c;
-    }
-}
-
-pub fn scale_f64(c: f64, xs: &[f64], out: &mut [f64]) {
     for (y, &x) in out.iter_mut().zip(xs) {
         *y = x * c;
     }

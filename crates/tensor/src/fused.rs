@@ -14,10 +14,10 @@
 //!
 //! * Row reductions (max, sum, sum-of-squares) go through the
 //!   pinned-order kernels of `gqa-simd` ([`gqa_simd::max_f32`],
-//!   [`gqa_simd::sum_f32`], [`gqa_simd::sum_sq_f32`] and their `f64`
-//!   twins) — the *same* kernels the unfused `row_sum` / `row_mean` /
-//!   `row_max_sub_detach` primitives use, so fused ≡ unfused and
-//!   simd-on ≡ simd-off simultaneously.
+//!   [`gqa_simd::sum_f32`], [`gqa_simd::sum_sq_f32`]) — the *same*
+//!   kernels the unfused `row_sum` / `row_mean` / `row_max_sub_detach`
+//!   primitives use, so fused ≡ unfused and simd-on ≡ simd-off
+//!   simultaneously.
 //! * Each non-linear stage (EXP, DIV, RSQRT) is **one whole-tensor
 //!   [`UnaryBackend`] call**, exactly like the unfused graph: LUT-served
 //!   datapaths keep their batch kernels, and a hot-swapped backend (see
@@ -481,76 +481,6 @@ pub fn attention_rows_f32(
         .expect("save=true always returns state")
 }
 
-/// `f64` twin of [`softmax_rows_f32`], routed through
-/// [`UnaryBackend::eval_many`]: the same five-stage shape with the
-/// pinned-order `f64` reductions. Reference spelling for callers that
-/// batch in double precision (the eval spine's native width).
-///
-/// # Panics
-///
-/// Panics if `cols == 0`, `xs.len()` is not a multiple of `cols`, or the
-/// buffer lengths differ.
-pub fn softmax_rows_f64(backend: &dyn UnaryBackend, xs: &[f64], cols: usize, out: &mut [f64]) {
-    let rows = check_rows(xs.len(), cols, out.len());
-    for (row, orow) in xs.chunks_exact(cols).zip(out.chunks_exact_mut(cols)) {
-        let m = gqa_simd::max_f64(row);
-        gqa_simd::sub_scalar_f64(m, row, orow);
-    }
-    let mut exp = vec![0.0f64; xs.len()];
-    backend.eval_many(UnaryKind::Exp, out, &mut exp);
-    let mut sums = vec![0.0f64; rows];
-    for (s, erow) in sums.iter_mut().zip(exp.chunks_exact(cols)) {
-        *s = gqa_simd::sum_f64(erow);
-    }
-    let mut inv = vec![0.0f64; rows];
-    backend.eval_many(UnaryKind::Recip, &sums, &mut inv);
-    for ((orow, erow), &f) in out
-        .chunks_exact_mut(cols)
-        .zip(exp.chunks_exact(cols))
-        .zip(&inv)
-    {
-        gqa_simd::scale_f64(f, erow, orow);
-    }
-}
-
-/// `f64` twin of [`layer_norm_rows_f32`] (no affine), routed through
-/// [`UnaryBackend::eval_many`].
-///
-/// # Panics
-///
-/// Panics if `cols == 0`, `xs.len()` is not a multiple of `cols`, or the
-/// buffer lengths differ.
-pub fn layer_norm_rows_f64(
-    backend: &dyn UnaryBackend,
-    xs: &[f64],
-    cols: usize,
-    eps: f64,
-    out: &mut [f64],
-) {
-    let rows = check_rows(xs.len(), cols, out.len());
-    let mut centered = vec![0.0f64; xs.len()];
-    let mut var_eps = vec![0.0f64; rows];
-    for (r, (row, crow)) in xs
-        .chunks_exact(cols)
-        .zip(centered.chunks_exact_mut(cols))
-        .enumerate()
-    {
-        let mu = gqa_simd::sum_f64(row) / cols as f64;
-        gqa_simd::sub_scalar_f64(mu, row, crow);
-        let var = gqa_simd::sum_sq_f64(crow) / cols as f64;
-        var_eps[r] = var + eps;
-    }
-    let mut inv_std = vec![0.0f64; rows];
-    backend.eval_many(UnaryKind::Rsqrt, &var_eps, &mut inv_std);
-    for (r, (crow, orow)) in centered
-        .chunks_exact(cols)
-        .zip(out.chunks_exact_mut(cols))
-        .enumerate()
-    {
-        gqa_simd::scale_f64(inv_std[r], crow, orow);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,9 +520,6 @@ mod tests {
         assert!(saved.exp.is_empty() && saved.inv.is_empty());
         let saved = layer_norm_rows_f32(&ExactBackend, &[], 5, 1e-5, None, &mut out);
         assert!(saved.centered.is_empty());
-        let mut out64 = [0.0f64; 0];
-        softmax_rows_f64(&ExactBackend, &[], 3, &mut out64);
-        layer_norm_rows_f64(&ExactBackend, &[], 3, 1e-5, &mut out64);
     }
 
     #[test]

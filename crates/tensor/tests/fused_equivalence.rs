@@ -4,9 +4,8 @@
 //!   / `Graph::attention` are **bit-identical** to the unfused graph
 //!   assemblies — forward values AND input/parameter gradients — across
 //!   row shapes (including 1-element rows and rows straddling the
-//!   256-element backend staging seam), backends (exact,
-//!   quantized-LUT-ish, call-scripted), and `f32`/`f64` widths (the
-//!   `f64` drivers against a hand-assembled decomposition).
+//!   256-element backend staging seam) and backends (exact,
+//!   quantized-LUT-ish, call-scripted).
 //! * `EvalMode::Inference` tapes — no saved state, no grad slots, pooled
 //!   buffers — produce forward values bit-identical to training tapes.
 //! * Both spellings make the same *sequence* of tensor-level backend
@@ -19,7 +18,6 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use gqa_tensor::fused;
 use gqa_tensor::{
     eval_many_f32_via_f64, BufferPool, EvalMode, ExactBackend, Graph, NodeId, Tensor, UnaryBackend,
     UnaryKind,
@@ -357,58 +355,6 @@ proptest! {
         let (vu, gu) = run_graph(&ScriptedBackend::new(), &t, |g, x| g.layernorm_rows(x, 1e-5));
         assert_bits_eq(&vf, &vu, "scripted layernorm value");
         assert_bits_eq(&gf, &gu, "scripted layernorm grad");
-    }
-
-    /// The `f64` fused drivers against a hand-assembled unfused
-    /// decomposition using the same pinned-order reductions.
-    #[test]
-    fn f64_drivers_match_unfused_decomposition(
-        rows in 1usize..7,
-        cols in 1usize..40,
-        vals in proptest::collection::vec(-25.0f64..25.0, 7 * 40)
-    ) {
-        let xs = &vals[..rows * cols];
-        let backend = ExactBackend;
-
-        // Softmax.
-        let mut fused_out = vec![0.0f64; xs.len()];
-        fused::softmax_rows_f64(&backend, xs, cols, &mut fused_out);
-        let mut shifted = vec![0.0f64; xs.len()];
-        for (row, orow) in xs.chunks(cols).zip(shifted.chunks_mut(cols)) {
-            let m = gqa_simd::max_f64(row);
-            gqa_simd::sub_scalar_f64(m, row, orow);
-        }
-        let mut e = vec![0.0f64; xs.len()];
-        backend.eval_many(UnaryKind::Exp, &shifted, &mut e);
-        let sums: Vec<f64> = e.chunks(cols).map(gqa_simd::sum_f64).collect();
-        let mut inv = vec![0.0f64; rows];
-        backend.eval_many(UnaryKind::Recip, &sums, &mut inv);
-        let mut want = vec![0.0f64; xs.len()];
-        for (i, (erow, orow)) in e.chunks(cols).zip(want.chunks_mut(cols)).enumerate() {
-            gqa_simd::scale_f64(inv[i], erow, orow);
-        }
-        for (i, (a, b)) in fused_out.iter().zip(&want).enumerate() {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "softmax f64 elem {}", i);
-        }
-
-        // LayerNorm.
-        let eps = 1e-9f64;
-        fused::layer_norm_rows_f64(&backend, xs, cols, eps, &mut fused_out);
-        let mut centered = vec![0.0f64; xs.len()];
-        let mut ve = vec![0.0f64; rows];
-        for (r, (row, crow)) in xs.chunks(cols).zip(centered.chunks_mut(cols)).enumerate() {
-            let mu = gqa_simd::sum_f64(row) / cols as f64;
-            gqa_simd::sub_scalar_f64(mu, row, crow);
-            ve[r] = gqa_simd::sum_sq_f64(crow) / cols as f64 + eps;
-        }
-        let mut inv_std = vec![0.0f64; rows];
-        backend.eval_many(UnaryKind::Rsqrt, &ve, &mut inv_std);
-        for (r, (crow, orow)) in centered.chunks(cols).zip(want.chunks_mut(cols)).enumerate() {
-            gqa_simd::scale_f64(inv_std[r], crow, orow);
-        }
-        for (i, (a, b)) in fused_out.iter().zip(&want).enumerate() {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "layernorm f64 elem {}", i);
-        }
     }
 }
 

@@ -1,58 +1,21 @@
 //! Autoregressive decode end to end: a KV-cached greedy generation loop
 //! on a LUT-served engine, the prefix-equivalence contract checked live,
 //! a mid-decode hot swap, and the same sequence driven through the
-//! serving front-end's `DecodeSession`.
+//! serving front-end's `DecodeSession` by the `ServedDecoder` adapter,
+//! which refuses an out-of-vocabulary step with a typed error.
 //!
 //! Run with: `cargo run --release --example decode_loop`
 
 use std::sync::Arc;
 
 use gqa::funcs::NonLinearOp;
-use gqa::models::{argmax, DecoderConfig, TinyDecoder};
+use gqa::models::{argmax, DecoderConfig, ServedDecoder, TinyDecoder};
 use gqa::registry::Method;
 use gqa::serve::{EngineBuilder, OpPlan, OperatorPlan};
-use gqa::served::{DecodeState, ModelDecode, ModelForward, ModelSpec, ServedBuilder};
-use gqa::tensor::{BufferPool, EvalMode, Graph, KvCache, NodeId, ParamStore, Tensor};
+use gqa::served::{ModelSpec, ServedBuilder, ServedError};
+use gqa::tensor::{BufferPool, EvalMode, Graph, ParamStore, Tensor};
 
 const MAX_LEN: usize = 64;
-
-/// Serving wrapper: the forward treats each request row as a fresh
-/// single-token sequence; `decode()` advertises the KV-cached step path.
-struct DecoderModel {
-    model: TinyDecoder,
-    ps: Arc<ParamStore>,
-}
-
-impl ModelForward for DecoderModel {
-    fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> NodeId {
-        let (rows, vocab) = (g.value(x).shape[0], self.model.config().vocab);
-        let tokens: Vec<usize> = g.value(x).data.iter().map(|&t| t as usize).collect();
-        let mut out = Vec::with_capacity(rows * vocab);
-        for tok in tokens {
-            let logits = self.model.forward_logits(g, &self.ps, &[tok]);
-            out.extend_from_slice(&g.value(logits).data);
-        }
-        g.input(Tensor::from_vec(out, &[rows, vocab]))
-    }
-
-    fn decode(&self) -> Option<&dyn ModelDecode> {
-        Some(self)
-    }
-}
-
-impl ModelDecode for DecoderModel {
-    fn new_state(&self) -> DecodeState {
-        Box::new(self.model.new_caches(MAX_LEN, &mut BufferPool::new()))
-    }
-
-    fn step(&self, g: &mut Graph<'_>, input: &Tensor, state: &mut DecodeState) -> Tensor {
-        let caches = state.downcast_mut::<Vec<KvCache>>().expect("KV caches");
-        let logits = self
-            .model
-            .step_logits(g, &self.ps, input.data[0] as usize, caches);
-        g.value(logits).clone()
-    }
-}
 
 fn main() {
     // 1. An engine serving GELU (the decoder FFN activation, hit twice
@@ -99,20 +62,15 @@ fn main() {
         seq.len()
     );
 
-    // 5. The same model through the serving front-end: `open_decode`
-    //    returns a `DecodeSession` owning the per-sequence KV state; each
-    //    `step` coalesces with other tenants' steps into batched
-    //    forwards. A hot swap between steps retunes the rest of the
-    //    sequence — the cache keeps the pre-swap prefix bits.
+    // 5. The same model through the serving front-end, wrapped in its
+    //    serving adapter: `open_decode` returns a `DecodeSession` owning
+    //    the per-sequence KV state; each `step` coalesces with other
+    //    tenants' steps into batched forwards. A hot swap between steps
+    //    retunes the rest of the sequence — the cache keeps the pre-swap
+    //    prefix bits.
+    let adapter = ServedDecoder::new(model, Arc::new(ps), MAX_LEN);
     let served = ServedBuilder::new(engine)
-        .with_model(ModelSpec::from_model(
-            "tiny-decoder",
-            &[1],
-            DecoderModel {
-                model: model.clone(),
-                ps: Arc::new(ps),
-            },
-        ))
+        .with_model(ModelSpec::from_model("tiny-decoder", &[1], adapter))
         .build();
     let decode = served.open_decode(0, 0).expect("decode-capable model");
     let mut tok = prompt[0];
@@ -135,4 +93,12 @@ fn main() {
         served.engine().stats().swaps,
         served.stats()
     );
+
+    // 6. A step the adapter cannot run is refused before it is queued,
+    //    and the session stays usable.
+    let refused = decode.step(Tensor::from_vec(vec![1e9], &[1]));
+    let Err(ServedError::InvalidStep(reason)) = refused else {
+        panic!("an out-of-vocabulary step must be refused, got {refused:?}");
+    };
+    println!("refused step: {reason}");
 }
