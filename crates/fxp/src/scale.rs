@@ -106,7 +106,9 @@ impl PowerOfTwoScale {
     /// The scale as a real number.
     #[must_use]
     pub fn to_f64(self) -> f64 {
-        (2.0f64).powi(self.exponent)
+        // Built from its bits: `powi` is a library call on the default
+        // x86-64 target, and |e| ≤ 62 keeps 2^e a normal f64.
+        f64::from_bits(((1023 + self.exponent) as u64) << 52)
     }
 
     /// How `x · S` maps onto a shifter.
@@ -240,6 +242,9 @@ mod tests {
         assert_eq!(PowerOfTwoScale::new(0).to_f64(), 1.0);
         assert_eq!(PowerOfTwoScale::new(-6).to_f64(), 0.015625);
         assert_eq!(PowerOfTwoScale::new(3).to_f64(), 8.0);
+        for e in -62..=62 {
+            assert_eq!(PowerOfTwoScale::new(e).to_f64(), 2.0f64.powi(e), "2^{e}");
+        }
     }
 
     #[test]

@@ -59,9 +59,11 @@ mod multirange;
 mod pwl_fn;
 mod quantized;
 mod storage;
+mod table;
 
 pub use fit::SegmentFit;
 pub use multirange::{MultiRangeLut, MultiRangeScaling, RescaleKind, SubRange};
 pub use pwl_fn::{Pwl, PwlError};
 pub use quantized::{FxpPwl, IntLutInstance, QuantAwareLut};
 pub use storage::{LutFormat, LutStorage};
+pub use table::CodeTable;

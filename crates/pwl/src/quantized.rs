@@ -11,13 +11,17 @@
 //!
 //! [`QuantAwareLut`] holds the scale-independent parameters;
 //! [`IntLutInstance`] is the per-scale materialization that evaluates the
-//! integer datapath. [`FxpPwl`] is the fixed-point-input variant used for
-//! the wide-range DIV/RSQRT operators (Table 2 stores their breakpoints as
-//! 8-bit FXP with λ fractional bits instead of re-quantizing per scale).
+//! integer datapath, and [`IntLutInstance::tabulate`] turns it into the
+//! [`CodeTable`] the serving engine runs (one quantization and one gather
+//! per element, the same bits). [`FxpPwl`] is the fixed-point-input
+//! variant used for the wide-range DIV/RSQRT operators (Table 2 stores
+//! their breakpoints as 8-bit FXP with λ fractional bits instead of
+//! re-quantizing per scale).
 
 use gqa_fxp::{Fxp, IntRange, PowerOfTwoScale};
 
 use crate::pwl_fn::{Pwl, PwlError};
+use crate::table::CodeTable;
 
 /// Scale-independent quantization-aware LUT: FXP slopes/intercepts plus
 /// floating-point breakpoints awaiting per-scale quantization.
@@ -266,91 +270,85 @@ impl IntLutInstance {
 }
 
 impl IntLutInstance {
-    /// The `f32` fast path of the real-axis datapath:
-    /// `out[i] = eval_f64(xs[i] as f64) as f32`, without the caller having
-    /// to materialize `f64` staging buffers.
+    /// Tabulates the datapath on its input codes: a [`CodeTable`] holding
+    /// [`eval_dequantized(q)`](IntLutInstance::eval_dequantized) for every
+    /// `q ∈ [Qn, Qp]`, which serves each element as one quantization and
+    /// one gather.
     ///
-    /// Quantization still goes through `f64` internally — widening an
-    /// `f32` is exact and dividing by a power-of-two scale is exact in
-    /// `f64` — so the selected code, and therefore the integer datapath
-    /// output, is identical to staging through `eval_batch`; the only
-    /// narrowing rounding is the final store. The select + multiply-add
-    /// core runs on the same wide-lane kernel as [`eval_raw_batch`].
-    ///
-    /// [`eval_raw_batch`]: IntLutInstance::eval_raw_batch
+    /// The table is filled run by run: the codes between consecutive
+    /// quantized breakpoints share one entry, so its `(k, b̃)` is hoisted
+    /// and the run is swept with the same multiply-add and output scaling
+    /// as [`eval_dequantized`](IntLutInstance::eval_dequantized).
     ///
     /// # Panics
     ///
-    /// Panics if lengths mismatch.
-    pub fn eval_batch_f32(&self, xs: &[f32], out: &mut [f32]) {
-        assert_eq!(xs.len(), out.len(), "batch length mismatch");
-        const CHUNK: usize = 256;
-        let mut qbuf = [0i64; CHUNK];
-        let mut rbuf = [0i64; CHUNK];
+    /// Panics if the range has more than [`CodeTable::MAX_LEVELS`] codes
+    /// or a bound of magnitude above it (any `IntRange::signed(bits)`
+    /// past 16 bits).
+    #[must_use]
+    pub fn tabulate(&self) -> CodeTable {
+        let (qn, qp) = (self.range.qn(), self.range.qp());
+        let max = CodeTable::MAX_LEVELS;
+        assert!(
+            self.range.levels() <= max && qn.unsigned_abs() <= max && qp.unsigned_abs() <= max,
+            "a code table covers at most {max} codes of magnitude at most {max}, not {}",
+            self.range
+        );
+        // Multiplying by the exact reciprocal of 2^λ is bit-identical to
+        // `eval_dequantized`'s division, and cheaper.
         let unscale = 1.0 / (1i64 << self.lambda) as f64;
         let s = self.scale.to_f64();
-        for (xc, oc) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            let qc = &mut qbuf[..xc.len()];
-            for (q, &x) in qc.iter_mut().zip(xc) {
-                *q = gqa_fxp::quantize_value(f64::from(x), self.scale, self.range);
+        // `raw as f64` is one scalar convert per code on the default
+        // x86-64 target. For |raw| < 2^51 the bits of 1.5·2^52 plus `raw`
+        // are the f64 1.5·2^52 + raw, so subtracting 1.5·2^52 gives
+        // `raw` exactly, in two lane-wise operations.
+        const MAGIC: f64 = 6_755_399_441_055_744.0;
+        let mut values = vec![0.0; self.range.levels() as usize];
+        let mut start = qn;
+        for (entry, (&k, &b)) in self
+            .slopes_raw
+            .iter()
+            .zip(&self.intercepts_scaled_raw)
+            .enumerate()
+        {
+            // Entry `entry` serves the codes with exactly `entry`
+            // breakpoints at or below them: up to the next breakpoint.
+            let end = self
+                .breakpoints_q
+                .get(entry)
+                .map_or(qp + 1, |&p| p)
+                .max(start);
+            let run = &mut values[(start - qn) as usize..(end - qn) as usize];
+            // The accumulator wraps as `eval_raw`'s does in release builds.
+            let mut raw = k.wrapping_mul(start).wrapping_add(b);
+            // `raw` is linear in the code, so it stays below 2^51 across
+            // the run when it does at both ends without overflowing.
+            let small = |q: i64| {
+                k.checked_mul(q)
+                    .and_then(|r| r.checked_add(b))
+                    .is_some_and(|r| r.unsigned_abs() < 1 << 51)
+            };
+            if small(start) && small(end - 1) {
+                for v in run {
+                    let exact = f64::from_bits(MAGIC.to_bits().wrapping_add(raw as u64)) - MAGIC;
+                    *v = exact * unscale * s;
+                    raw = raw.wrapping_add(k);
+                }
+            } else {
+                for v in run {
+                    *v = raw as f64 * unscale * s;
+                    raw = raw.wrapping_add(k);
+                }
             }
-            let rc = &mut rbuf[..xc.len()];
-            gqa_simd::lut_select_i64(
-                &self.breakpoints_q,
-                &self.slopes_raw,
-                &self.intercepts_scaled_raw,
-                qc,
-                rc,
-            );
-            for ((y, &r), &x) in oc.iter_mut().zip(rc.iter()).zip(xc) {
-                *y = if x.is_nan() {
-                    x
-                } else {
-                    (r as f64 * unscale * s) as f32
-                };
-            }
+            start = end;
         }
+        CodeTable::new(values, self.scale, self.range)
     }
 }
 
 impl gqa_funcs::BatchEval for IntLutInstance {
     fn eval_scalar(&self, x: f64) -> f64 {
         self.eval_f64(x)
-    }
-
-    /// Real-axis batch: scalar quantization per element (Eq. 2 rounding
-    /// has no vector equivalent with identical tie behaviour), then the
-    /// branchless wide-lane select + multiply-add over each chunk of
-    /// codes, then one scaling sweep. Chunks live on the stack, so the
-    /// call allocates nothing.
-    fn eval_batch(&self, xs: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), out.len(), "batch length mismatch");
-        const CHUNK: usize = 256;
-        let mut qbuf = [0i64; CHUNK];
-        let mut rbuf = [0i64; CHUNK];
-        let unscale = 1.0 / (1i64 << self.lambda) as f64;
-        let s = self.scale.to_f64();
-        for (xc, oc) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            let qc = &mut qbuf[..xc.len()];
-            for (q, &x) in qc.iter_mut().zip(xc) {
-                *q = gqa_fxp::quantize_value(x, self.scale, self.range);
-            }
-            let rc = &mut rbuf[..xc.len()];
-            gqa_simd::lut_select_i64(
-                &self.breakpoints_q,
-                &self.slopes_raw,
-                &self.intercepts_scaled_raw,
-                qc,
-                rc,
-            );
-            for ((y, &r), &x) in oc.iter_mut().zip(rc.iter()).zip(xc) {
-                *y = if x.is_nan() {
-                    x
-                } else {
-                    r as f64 * unscale * s
-                };
-            }
-        }
     }
 }
 

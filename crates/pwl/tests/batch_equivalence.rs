@@ -9,13 +9,17 @@
 //! against pure scalar code. Running the same suite with
 //! `--no-default-features` compares the scalar fallbacks instead; CI does
 //! both, which is what "bit-exact with `simd` on *and* off" means
-//! operationally. The `f32` fast paths (`eval_batch_f32`) are pinned to
-//! `(eval(f64::from(x)) as f32)` the same way.
+//! operationally. The `f32` fast paths (`CodeTable::eval_batch_f32`,
+//! `MultiRangeLut::eval_batch_f32`) are pinned to
+//! `(eval(f64::from(x)) as f32)` the same way, and a `CodeTable` to the
+//! `IntLutInstance` it tabulates.
 
 use gqa_funcs::{BatchEval, NonLinearOp};
 use gqa_fxp::{IntRange, PowerOfTwoScale};
 use gqa_pwl::eval::MseGrid;
-use gqa_pwl::{fit, FxpPwl, MultiRangeLut, MultiRangeScaling, Pwl, QuantAwareLut, SegmentFit};
+use gqa_pwl::{
+    fit, FxpPwl, IntLutInstance, MultiRangeLut, MultiRangeScaling, Pwl, QuantAwareLut, SegmentFit,
+};
 use proptest::prelude::*;
 
 /// Bit-for-bit equality with NaN ≡ NaN.
@@ -29,6 +33,54 @@ fn assert_batch_matches_scalar(eval: &dyn BatchEval, xs: &[f64], label: &str) {
     for (&x, &y) in xs.iter().zip(&out) {
         let want = eval.eval_scalar(x);
         assert!(same(y, want), "{label}({x}): batch {y} vs scalar {want}");
+    }
+}
+
+/// The inputs where a quantizer can go wrong, for `range` at scale `s`:
+/// every code boundary `(q ± ½)·S` with its neighbours one ulp either
+/// side (through `neighbours`), then ±0, the smallest and largest
+/// subnormals, ±∞, NaN, ±2^62·S and ±`f32::MAX`.
+fn quantizer_edges<T: Copy>(
+    range: IntRange,
+    s: f64,
+    narrow: impl Fn(f64) -> T,
+    neighbours: impl Fn(T) -> [T; 3],
+) -> Vec<T> {
+    let mut xs = Vec::new();
+    for q in range.iter() {
+        for half in [-0.5, 0.5] {
+            xs.extend(neighbours(narrow((q as f64 + half) * s)));
+        }
+    }
+    let tiny = f64::from(f32::from_bits(1));
+    let sub = f64::from(f32::MIN_POSITIVE.next_down());
+    let big = 2f64.powi(62) * s;
+    let max = f64::from(f32::MAX);
+    for x in [0.0, tiny, sub, f64::INFINITY, big, max] {
+        xs.extend([narrow(x), narrow(-x)]);
+    }
+    xs.push(narrow(f64::NAN));
+    xs
+}
+
+/// A `CodeTable` must serve exactly what the instance it tabulates
+/// serves: the `f32` path against the widened scalar datapath, and the
+/// `f64` scalar and batch paths against `eval_f64`.
+fn assert_table_serves_instance(inst: &IntLutInstance, xs32: &[f32], xs64: &[f64], label: &str) {
+    let table = inst.tabulate();
+    let mut out = vec![0.0f32; xs32.len()];
+    table.eval_batch_f32(xs32, &mut out);
+    for (&x, &y) in xs32.iter().zip(&out) {
+        let want = inst.eval_f64(f64::from(x)) as f32;
+        assert!(
+            same(f64::from(y), f64::from(want)),
+            "{label} table f32({x:e}): {y} vs widened {want}"
+        );
+    }
+    assert_batch_matches_scalar(&table, xs64, label);
+    for &x in xs64 {
+        let (y, want) = (table.eval_f64(x), inst.eval_f64(x));
+        assert!(same(y, want), "{label} table f64({x:e}): {y} vs {want}");
     }
 }
 
@@ -113,6 +165,10 @@ proptest! {
         let lut = QuantAwareLut::new(gelu_pwl(&bps), 5).unwrap();
         let inst = lut.instantiate(PowerOfTwoScale::new(e), IntRange::signed(8));
         assert_batch_matches_scalar(&inst, &xs, "int_lut");
+        // The served table: its f64 batch ≡ its scalar ≡ the instance's,
+        // and each entry is the instance's output for its code.
+        assert_table_serves_instance(&inst, &[], &xs, "code_table");
+        let table = inst.tabulate();
 
         let qs: Vec<i64> = inst.range().iter().collect();
         let mut raw = vec![0i64; qs.len()];
@@ -122,6 +178,17 @@ proptest! {
         for (i, &q) in qs.iter().enumerate() {
             assert_eq!(raw[i], inst.eval_raw(q), "raw batch at q={q}");
             assert!(same(deq[i], inst.eval_dequantized(q)), "deq batch at q={q}");
+            assert!(same(table.lookup(q), inst.eval_dequantized(q)), "table at q={q}");
+        }
+        // λ = 40 at INT16 drives the top runs' accumulators past 2^51,
+        // where the table fill converts each code one by one.
+        let wide = QuantAwareLut::new(gelu_pwl(&bps), 40)
+            .unwrap()
+            .instantiate(PowerOfTwoScale::new(e), IntRange::signed(16));
+        assert!(wide.eval_raw(wide.range().qp()).unsigned_abs() >= 1 << 51);
+        let table = wide.tabulate();
+        for q in wide.range().iter() {
+            assert!(same(table.lookup(q), wide.eval_dequantized(q)), "wide table at q={q}");
         }
     }
 
@@ -149,6 +216,7 @@ proptest! {
     /// The `f32` fast paths: `eval_batch_f32` must equal evaluating the
     /// widened input through the scalar datapath and narrowing — i.e. the
     /// fast path changes *where* conversions happen, never what comes out.
+    /// For the INT datapath that fast path is its tabulated `CodeTable`.
     #[test]
     fn f32_fast_paths_equal_widened_scalar(
         bps in breakpoints(),
@@ -158,7 +226,7 @@ proptest! {
         let lut = QuantAwareLut::new(gelu_pwl(&bps), 5).unwrap();
         let inst = lut.instantiate(PowerOfTwoScale::new(e), IntRange::signed(8));
         let mut out = vec![0.0f32; xs.len()];
-        inst.eval_batch_f32(&xs, &mut out);
+        inst.tabulate().eval_batch_f32(&xs, &mut out);
         for (&x, &y) in xs.iter().zip(&out) {
             let want = inst.eval_f64(f64::from(x)) as f32;
             assert!(
@@ -222,6 +290,8 @@ proptest! {
 /// gives NaN out, as the exact operators do; ±∞ and huge values saturate
 /// to the edge codes; none of them panics, on any path, and batch ≡
 /// scalar and `f32` ≡ widened scalar hold for them as for finite inputs.
+/// The served `CodeTable` equals its instance on them and on every code
+/// boundary, at INT4, INT8 and INT16.
 #[test]
 fn served_datapaths_pass_nan_and_saturate_the_rest() {
     let xs = [
@@ -253,15 +323,16 @@ fn served_datapaths_pass_nan_and_saturate_the_rest() {
     assert_eq!(fxp.quantize_input(f64::INFINITY), 127);
     assert_eq!(fxp.quantize_input(f64::NEG_INFINITY), -128);
 
-    let mut out = vec![0.0f32; xs.len()];
-    inst.eval_batch_f32(&xs, &mut out);
-    for (&x, &y) in xs.iter().zip(&out) {
-        let want = inst.eval_f64(f64::from(x)) as f32;
-        assert!(
-            same(f64::from(y), f64::from(want)),
-            "int_lut f32({x}): {y} vs {want}"
-        );
+    assert_table_serves_instance(&inst, &xs, &wide, "int_lut");
+    for bits in [4, 8, 16] {
+        let inst = lut.instantiate(PowerOfTwoScale::new(-4), IntRange::signed(bits));
+        let (range, s) = (inst.range(), inst.scale().to_f64());
+        let xs32 = quantizer_edges(range, s, |x| x as f32, |x| [x.next_down(), x, x.next_up()]);
+        let xs64 = quantizer_edges(range, s, |x| x, |x| [x.next_down(), x, x.next_up()]);
+        assert_table_serves_instance(&inst, &xs32, &xs64, &format!("int{bits}"));
     }
+
+    let mut out = vec![0.0f32; xs.len()];
     unit.eval_batch_f32(&xs, &mut out);
     for (&x, &y) in xs.iter().zip(&out) {
         let want = unit.eval_f64(f64::from(x)) as f32;

@@ -4,19 +4,22 @@
 //!
 //! [`build_datapath`] is the one way from a compiled artifact to a
 //! datapath: scale-dependent operators instantiate the quant-aware LUT at
-//! a power-of-two input scale; the wide-range DIV/RSQRT intermediates run
-//! the paper's multi-range FXP datapath.
+//! a power-of-two input scale and tabulate it on its input codes; the
+//! wide-range DIV/RSQRT intermediates run the paper's multi-range FXP
+//! datapath.
 
 use gqa_funcs::{BatchEval, NonLinearOp};
 use gqa_fxp::{IntRange, PowerOfTwoScale};
-use gqa_pwl::{FxpPwl, IntLutInstance, MultiRangeLut, MultiRangeScaling, QuantAwareLut};
+use gqa_pwl::{CodeTable, FxpPwl, MultiRangeLut, MultiRangeScaling, QuantAwareLut};
 use gqa_tensor::{ExactBackend, UnaryBackend, UnaryKind};
 
 /// An instantiated serving datapath for one operator.
 pub enum OpDatapath {
     /// Scale-dependent operators (GELU/HSWISH/EXP/Sigmoid/Tanh): the
-    /// INT datapath of Figure 1(b) at a fixed power-of-two input scale.
-    Scaled(IntLutInstance),
+    /// INT datapath of Figure 1(b) at a fixed power-of-two input scale,
+    /// tabulated on its `2^bits` input codes
+    /// ([`gqa_pwl::IntLutInstance::tabulate`]).
+    Scaled(CodeTable),
     /// Wide-range intermediates (DIV/RSQRT): the §3.1 multi-range input
     /// scaling around the FXP pwl core.
     Wide(MultiRangeLut),
@@ -34,7 +37,7 @@ impl std::fmt::Debug for OpDatapath {
 impl OpDatapath {
     fn batch(&self) -> &dyn BatchEval {
         match self {
-            OpDatapath::Scaled(i) => i,
+            OpDatapath::Scaled(t) => t,
             OpDatapath::Wide(m) => m,
         }
     }
@@ -42,7 +45,7 @@ impl OpDatapath {
     /// Native `f32` batch sweep (bit-identical to staging through `f64`).
     pub fn eval_batch_f32(&self, xs: &[f32], out: &mut [f32]) {
         match self {
-            OpDatapath::Scaled(i) => i.eval_batch_f32(xs, out),
+            OpDatapath::Scaled(t) => t.eval_batch_f32(xs, out),
             OpDatapath::Wide(m) => m.eval_batch_f32(xs, out),
         }
     }
@@ -51,6 +54,16 @@ impl OpDatapath {
 /// Instantiates the serving datapath for `op` from its compiled artifact:
 /// `bits` fixes the quantized input range / FXP storage width, `scale`
 /// the power-of-two input scale (scale-dependent operators only).
+///
+/// Built once per engine build, [`crate::Engine::swap`] and
+/// [`crate::Engine::refresh`], never per search candidate: tabulating
+/// costs a pass over every input code.
+///
+/// # Panics
+///
+/// Panics if `bits` is outside `1..=16` for a scale-dependent operator
+/// (the table would hold more than 65,536 entries); the engine refuses
+/// such a plan with [`crate::EngineError::InvalidBits`] first.
 #[must_use]
 pub fn build_datapath(
     artifact: &QuantAwareLut,
@@ -59,7 +72,11 @@ pub fn build_datapath(
     scale: PowerOfTwoScale,
 ) -> OpDatapath {
     if op.scale_dependent() {
-        OpDatapath::Scaled(artifact.instantiate(scale, IntRange::signed(bits)))
+        OpDatapath::Scaled(
+            artifact
+                .instantiate(scale, IntRange::signed(bits))
+                .tabulate(),
+        )
     } else {
         let scaling = match op {
             NonLinearOp::Div => MultiRangeScaling::div_paper(),

@@ -18,10 +18,12 @@ use crate::store::ShardStore;
 /// Number of [`UnaryKind`] variants (the session dispatch table width).
 pub(crate) const N_KINDS: usize = 8;
 
-/// The integer datapath accepts 1..=63-bit words (`IntRange::signed`'s
-/// domain); reject anything else before a search is spent on it.
+/// The datapaths serve 1..=16-bit words: a scale-dependent operator is a
+/// table over its `2^bits` codes (65,536 entries, 512 KB at 16 bits), and
+/// wider words would let the integer multiply-add wrap. Reject anything
+/// else before a search is spent on it.
 fn validate_bits(bits: u32) -> Result<(), EngineError> {
-    if (1..=63).contains(&bits) {
+    if (1..=16).contains(&bits) {
         Ok(())
     } else {
         Err(EngineError::InvalidBits(bits))
@@ -55,8 +57,8 @@ pub enum EngineError {
     Unplanned(NonLinearOp),
     /// Artifact compilation-request validation failed.
     Build(LutBuildError),
-    /// The serving precision is outside the integer datapath's `1..=63`
-    /// bit domain (it would panic inside `IntRange::signed` otherwise).
+    /// The serving precision is outside `1..=16` bits (a wider table
+    /// would not be built; `build_datapath` panics on one).
     InvalidBits(u32),
     /// The storage layer failed (shard write, or an explicit snapshot op).
     Snapshot(SnapshotError),
@@ -76,7 +78,7 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::Build(e) => write!(f, "artifact build failed: {e}"),
             EngineError::InvalidBits(b) => {
-                write!(f, "serving precision must be 1..=63 bits (got {b})")
+                write!(f, "serving precision must be 1..=16 bits (got {b})")
             }
             EngineError::Snapshot(e) => write!(f, "snapshot store failed: {e}"),
             EngineError::NoSnapshotDir => {

@@ -40,8 +40,9 @@ pub struct OpPlan {
     /// Budget multiplier in `(0, 1]` scaling search generations / training
     /// steps (1.0 = the paper's full budget).
     pub budget: f64,
-    /// Serving integer precision in bits: the datapath's quantized input
-    /// range (`IntRange::signed(bits)`) and FXP storage width.
+    /// Serving integer precision in bits, `1..=16`: the datapath's
+    /// quantized input range (`IntRange::signed(bits)`) and FXP storage
+    /// width.
     pub bits: u32,
     /// Power-of-two input scale for scale-dependent operators
     /// (GELU/HSWISH/EXP/...); ignored by the wide-range DIV/RSQRT

@@ -102,16 +102,37 @@ fn plan_validation_is_typed_and_upfront() {
             .build()
             .unwrap_err();
     assert_eq!(err, EngineError::InvalidBits(0));
-    // Control-plane calls on unplanned operators.
+    // Past 16 bits a scale-dependent operator's code table would exceed
+    // 65,536 entries (and a wide word lets the multiply-add wrap).
+    let err =
+        EngineBuilder::new(OperatorPlan::new().with(NonLinearOp::Gelu, base_plan().with_bits(17)))
+            .build()
+            .unwrap_err();
+    assert_eq!(err, EngineError::InvalidBits(17));
+    // `swap` refuses the same precisions.
     let engine = EngineBuilder::new(OperatorPlan::new().with(NonLinearOp::Gelu, base_plan()))
         .build()
         .unwrap();
-    assert_eq!(
-        engine
-            .swap(NonLinearOp::Gelu, base_plan().with_bits(64))
-            .unwrap_err(),
-        EngineError::InvalidBits(64)
-    );
+    for bits in [17, 64] {
+        assert_eq!(
+            engine
+                .swap(NonLinearOp::Gelu, base_plan().with_bits(bits))
+                .unwrap_err(),
+            EngineError::InvalidBits(bits)
+        );
+    }
+    // 16 bits is served, and saturates: every input past Qp·S gets Qp's
+    // output, however large.
+    engine
+        .swap(NonLinearOp::Gelu, base_plan().with_bits(16))
+        .unwrap();
+    let session = engine.session();
+    let edge = session.eval(UnaryKind::Gelu, 32767.0 / 16.0);
+    assert!(edge > 2000.0, "GELU(Qp·S) = {edge}");
+    for x in [1e18, 1e30, f64::INFINITY] {
+        assert_eq!(session.eval(UnaryKind::Gelu, x), edge, "GELU({x:e})");
+    }
+    // Control-plane calls on unplanned operators.
     assert_eq!(
         engine.swap(NonLinearOp::Exp, base_plan()).unwrap_err(),
         EngineError::Unplanned(NonLinearOp::Exp)

@@ -10,7 +10,12 @@
 //! * [`lut_select_i64`] — the branchless LUT datapath for *unsorted* codes:
 //!   entry index by comparator-bank popcount (`#{p̃ ≤ q}`), parameter fetch
 //!   by gather, then the integer multiply-add. This is Figure 1(b) as a
-//!   4-lane vector pipeline.
+//!   4-lane vector pipeline. It runs the DIV/RSQRT core
+//!   (`FxpPwl::eval_batch`) and the unsorted branch of
+//!   `IntLutInstance::eval_raw_batch`. The scale-dependent operators are not
+//!   served through it: the engine tabulates their datapath once per
+//!   build (`IntLutInstance::tabulate`) and serves each element as one
+//!   quantization and one table gather.
 //! * [`relu_unit_accum`] — one hidden unit of the NN-LUT network swept
 //!   across a buffer: `out[i] += w2·max(w1·x[i] + b1, 0)`.
 //! * [`sum_sq_diff`] — the MSE accumulator `Σ (a[i] − b[i])²` with a
