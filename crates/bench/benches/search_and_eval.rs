@@ -118,12 +118,13 @@ fn bench_lut_eval(c: &mut Criterion) {
             acc
         })
     });
-    let qs: Vec<i64> = (-128i64..=127).collect();
-    let mut raw_out = vec![0i64; qs.len()];
+    // The same 256 codes through the run-by-run fill the engine's table
+    // and the quant-aware search use.
+    let mut out = vec![0.0f64; 256];
     c.bench_function("eval/int8_datapath_full_range_batched", |b| {
         b.iter(|| {
-            inst.eval_raw_batch(black_box(&qs), &mut raw_out);
-            raw_out.iter().sum::<i64>()
+            inst.fill_codes(black_box(-128), &mut out);
+            out[0]
         })
     });
 
@@ -144,12 +145,13 @@ fn bench_lut_eval(c: &mut Criterion) {
             acc
         })
     });
-    let qs4: Vec<i64> = (0..16).flat_map(|_| -8i64..=7).collect();
-    let mut raw_out4 = vec![0i64; qs4.len()];
+    let mut out4 = vec![0.0f64; 16 * 16];
     c.bench_function("eval/int4_datapath_full_range_batched", |b| {
         b.iter(|| {
-            inst4.eval_raw_batch(black_box(&qs4), &mut raw_out4);
-            raw_out4.iter().sum::<i64>()
+            for run in out4.chunks_mut(16) {
+                inst4.fill_codes(black_box(-8), run);
+            }
+            out4[0]
         })
     });
 

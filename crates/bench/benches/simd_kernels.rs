@@ -1,7 +1,7 @@
 //! Microbenchmarks for the `gqa-simd` kernel layer.
 //!
 //! Each entry measures one dispatched kernel on a hot-path-shaped input
-//! (the 800-point Algorithm-1 fitness grid, the 256-code INT8 sweep).
+//! (the 800-point Algorithm-1 fitness grid).
 //! `simd/dispatch_path` prints which path the dispatcher takes on this
 //! machine so baseline JSONs are self-describing.
 
@@ -43,20 +43,6 @@ fn bench_kernels(c: &mut Criterion) {
     let ys: Vec<f64> = xs.iter().map(|&x| x * 0.9 + 0.01).collect();
     c.bench_function("simd/sum_sq_diff_800", |b| {
         b.iter(|| gqa_simd::sum_sq_diff(black_box(&xs), black_box(&ys)))
-    });
-
-    // The branchless Figure-1(b) pipeline on an unsorted 256-code sweep
-    // (sorted codes take the segment-walking axpy path instead).
-    let bps = [-90i64, -50, -20, 0, 20, 50, 90];
-    let slopes = [3i64, -5, 7, -9, 11, -13, 15, -17];
-    let intercepts = [1i64, 2, 3, 4, 5, 6, 7, 8];
-    let qs: Vec<i64> = (0..256).map(|i| ((i * 97 + 31) % 256) - 128).collect();
-    let mut raw = vec![0i64; qs.len()];
-    c.bench_function("simd/lut_select_int8_unsorted", |b| {
-        b.iter(|| {
-            gqa_simd::lut_select_i64(&bps, &slopes, &intercepts, black_box(&qs), &mut raw);
-            raw[0]
-        })
     });
 
     // The full NN-LUT batched forward (direct path + 7 hidden-unit sweeps).

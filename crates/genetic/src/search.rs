@@ -46,10 +46,11 @@ pub(crate) struct Scorer {
 }
 
 /// One precomputed §4.1 evaluation grid: the clip-surviving INT8 codes at
-/// one scale plus the reference `f(q·S)` values.
+/// one scale, a contiguous span from `first`, plus the reference `f(q·S)`
+/// value of each.
 struct DequantGrid {
     scale: gqa_fxp::PowerOfTwoScale,
-    qs: Vec<i64>,
+    first: i64,
     ys: Vec<f64>,
 }
 
@@ -73,20 +74,20 @@ impl Scorer {
                     .qaa_grids
                     .iter()
                     .map(|grid| {
-                        if grid.qs.is_empty() {
+                        if grid.ys.is_empty() {
                             // Every code clipped: defined as 0, matching
-                            // eval::mse_dequantized_lut.
+                            // eval::mse_dequantized.
                             return 0.0;
                         }
                         let inst = lut.instantiate(grid.scale, range);
-                        let out = &mut out[..grid.qs.len()];
-                        inst.eval_dequantized_batch(&grid.qs, out);
+                        let out = &mut out[..grid.ys.len()];
+                        inst.fill_codes(grid.first, out);
                         let mut acc = 0.0f64;
                         for (&a, &r) in out.iter().zip(&grid.ys) {
                             let d = a - r;
                             acc += d * d;
                         }
-                        acc / grid.qs.len() as f64
+                        acc / grid.ys.len() as f64
                     })
                     .sum();
                 total / self.qaa_grids.len() as f64
@@ -142,14 +143,20 @@ impl GeneticSearch {
                 .into_iter()
                 .map(|scale| {
                     let s = scale.to_f64();
-                    let (qs, xs): (Vec<i64>, Vec<f64>) = range
+                    // S > 0, so the codes whose q·S lies in the search
+                    // range form one span: from the first at or above
+                    // `lo` while q·S stays at or below `hi`.
+                    let first = range
                         .iter()
-                        .map(|q| (q, q as f64 * s))
-                        .filter(|&(_, x)| x >= lo && x <= hi)
-                        .unzip();
+                        .find(|&q| q as f64 * s >= lo)
+                        .unwrap_or(range.qp() + 1);
+                    let xs: Vec<f64> = (first..=range.qp())
+                        .map(|q| q as f64 * s)
+                        .take_while(|&x| x <= hi)
+                        .collect();
                     let mut ys = vec![0.0; xs.len()];
                     gqa_funcs::FnEval(|x| function(x)).eval_batch(&xs, &mut ys);
-                    DequantGrid { scale, qs, ys }
+                    DequantGrid { scale, first, ys }
                 })
                 .collect()
         } else {

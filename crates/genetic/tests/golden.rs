@@ -3,10 +3,11 @@
 //! engine, whether scoring runs serially or on the worker pool.
 //!
 //! CI also runs this file under `taskset -c 0`: one CPU forces the serial
-//! sweep, so the pooled golden below pins serial ≡ pooled.
+//! sweep, so the pooled goldens below (plain-grid and quant-aware) pin
+//! serial ≡ pooled.
 
 use gqa_funcs::NonLinearOp;
-use gqa_genetic::{GeneticSearch, SearchConfig};
+use gqa_genetic::{FitnessMode, GeneticSearch, SearchConfig};
 
 /// Golden `best_mse` bit patterns captured from the first
 /// single-population engine for three fixed configs. Each scores fewer
@@ -77,6 +78,64 @@ fn pooled_golden_is_bit_exact() {
         r.best_mse(),
         r.best_mse().to_bits(),
     );
+}
+
+/// Golden `best_mse` and breakpoint bit patterns of the quant-aware
+/// search (`FitnessMode::QuantAwareAverage`), the fitness every served
+/// GELU/EXP artifact is searched with: 60 generations, population 50,
+/// seed 7.
+const QUANT_AWARE_GOLDENS: [(NonLinearOp, u64, [u64; 7]); 2] = [
+    (
+        NonLinearOp::Gelu,
+        0x3f1f_9ef9_b5d2_fe60,
+        [
+            0xc008_0000_0000_0000,
+            0xc003_0000_0000_0000,
+            0xbff0_0000_0000_0000,
+            0xbfc0_0000_0000_0000,
+            0x3fe8_0000_0000_0000,
+            0x4000_0000_0000_0000,
+            0x400a_0000_0000_0000,
+        ],
+    ),
+    (
+        NonLinearOp::Exp,
+        0x3f2b_2bef_e501_5d57,
+        [
+            0xc01f_4000_0000_0000,
+            0xc01b_0000_0000_0000,
+            0xc018_0000_0000_0000,
+            0xc010_0000_0000_0000,
+            0xbffd_8000_0000_0000,
+            0xbff0_0000_0000_0000,
+            0xbfdc_0000_0000_0000,
+        ],
+    ),
+];
+
+#[test]
+fn quant_aware_goldens_are_bit_exact() {
+    for (op, mse_bits, bps_bits) in QUANT_AWARE_GOLDENS {
+        let cfg = SearchConfig::for_op(op)
+            .with_generations(60)
+            .with_population(50)
+            .with_seed(7)
+            .with_fitness(FitnessMode::QuantAwareAverage);
+        // Past the pool's 20 000-point threshold, as for the pooled GELU
+        // golden: with two or more CPUs every generation is pooled.
+        assert!(cfg.population * cfg.data_size() >= 20_000);
+        let r = GeneticSearch::new(cfg).run();
+        assert_eq!(
+            r.best_mse().to_bits(),
+            mse_bits,
+            "{op}: quant-aware best MSE {:e} (bits 0x{:016x}) diverged from \
+             the golden 0x{mse_bits:016x}",
+            r.best_mse(),
+            r.best_mse().to_bits(),
+        );
+        let got: Vec<u64> = r.breakpoints().iter().map(|b| b.to_bits()).collect();
+        assert_eq!(got, bps_bits, "{op}: quant-aware breakpoints diverged");
+    }
 }
 
 #[test]

@@ -24,8 +24,10 @@
 //!   an `Engine` built from that plan hands out `Session`s, and a
 //!   session is the `UnaryBackend` the model graphs consume.
 //! * [`FinetuneHarness`] — the Table 4/5 protocol: FP pre-train →
-//!   INT8 (LSQ-PoT weight fake-quant) baseline → per-replacement
-//!   fine-tuning → mIoU on the SynthScapes validation split.
+//!   INT8 baseline (each weight tensor snapped to a min-max power-of-two
+//!   grid after every optimizer step; no step size is learned) →
+//!   per-replacement fine-tuning → mIoU on the SynthScapes validation
+//!   split.
 //!
 //! ## Example: forward a batch through SegformerLite
 //!

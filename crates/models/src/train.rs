@@ -2,11 +2,14 @@
 //!
 //! 1. **Pre-train** the FP32 model on SynthScapes (the stand-in for the
 //!    authors' ImageNet-pretrained checkpoints fine-tuned on Cityscapes).
-//! 2. **Quantize**: INT8 power-of-two fake quantization of all weights
-//!    (the LSQ-PoT scheme of §3.1/§4.2, min-max initialized), plus a short
-//!    quantization-aware fine-tune. This model is the "None" baseline row.
+//! 2. **Quantize**: snap each weight tensor onto an INT8 power-of-two
+//!    grid whose step is its min-max step rounded up to a power of two
+//!    ([`quantize_weights_pot`]), then fine-tune briefly, snapping again
+//!    after every optimizer step. No step size is learned. This model is
+//!    the "None" baseline row.
 //! 3. **Replace** non-linear operators with INT8 pwl LUTs (per method and
-//!    replacement set), fine-tune briefly, and report validation mIoU.
+//!    replacement set), fine-tune briefly with the same snapping, and
+//!    report validation mIoU.
 
 use gqa_data::{ConfusionMatrix, SceneConfig, SynthScapes, IGNORE_LABEL, NUM_CLASSES};
 use gqa_fxp::IntRange;
@@ -259,8 +262,11 @@ impl FinetuneHarness {
     }
 }
 
-/// INT8 power-of-two fake quantization of every parameter tensor
-/// (min-max-initialized LSQ-PoT, frozen to the snapped grid).
+/// Snaps every parameter tensor onto an INT8 power-of-two grid: the
+/// tensor's min-max step ([`calibrate_minmax`]) is rounded up to a power
+/// of two, and each weight is fake-quantized onto that grid. Nothing is
+/// learned; the harness calls this after every optimizer step of a
+/// quantized fine-tune.
 pub fn quantize_weights_pot(ps: &mut ParamStore) {
     let range = IntRange::signed(8);
     let ids: Vec<_> = ps.ids().collect();

@@ -1,18 +1,20 @@
 //! MSE evaluators: the fitness of Algorithm 1 and the quantization-aware
 //! operator-level evaluation protocol of §4.1.
 //!
-//! All scoring is *batched*: the sample grid is materialized once into a
-//! reusable buffer ([`MseGrid`]) and every approximant is evaluated over
-//! it through [`BatchEval`], so the per-candidate cost is two buffer
-//! sweeps with no per-element virtual dispatch. The legacy closure-based
-//! entry points ([`mse_grid`], [`mse_grid_fn`], [`mse_dequantized`]) are
-//! kept as thin wrappers over the batched engine.
+//! The uniform-grid fitness is *batched*: the sample grid is materialized
+//! once into a reusable buffer ([`MseGrid`]) and every approximant is
+//! evaluated over it through [`BatchEval`], so the per-candidate cost is
+//! two buffer sweeps with no per-element virtual dispatch. The closure
+//! entry points [`mse_grid`] and [`mse_grid_fn`] are thin wrappers over
+//! it. [`mse_dequantized`] is the §4.1 protocol on integer codes, with the
+//! datapath passed as a closure; the quant-aware search runs the same
+//! protocol on `IntLutInstance::fill_codes` over each scale's span of
+//! codes.
 
 use gqa_funcs::{fill_grid, BatchEval, FnEval};
 use gqa_fxp::{IntRange, PowerOfTwoScale};
 
 use crate::pwl_fn::Pwl;
-use crate::quantized::IntLutInstance;
 
 /// A reusable uniform evaluation grid with the reference values
 /// precomputed: build once per `(f, range, step)`, score many
@@ -130,43 +132,6 @@ pub fn mse_grid_fn(
     grid.mse_of(&FnEval(approx), &mut Vec::new())
 }
 
-/// Batched dequantized-grid MSE (§4.1) for an instantiated integer LUT:
-/// every representable code `q ∈ [Qn, Qp]` is evaluated through the
-/// integer datapath in one sweep and compared against `f` at the
-/// dequantized points `q·S`.
-///
-/// Codes whose dequantized value falls outside `clip_range` (when given)
-/// are skipped, confining the comparison to the operator's meaningful
-/// domain. When *every* code is clipped the result is defined as `0.0`
-/// (no representable point lies in the domain, so no error is measurable);
-/// callers that need to distinguish "empty" from "perfect" should check
-/// the clip range against `range.iter()` themselves.
-#[must_use]
-pub fn mse_dequantized_lut(
-    inst: &IntLutInstance,
-    f: &dyn BatchEval,
-    clip_range: Option<(f64, f64)>,
-) -> f64 {
-    let s = inst.scale().to_f64();
-    let range = inst.range();
-    // Codes ascending → dequantized xs ascending (S > 0), so downstream
-    // sorted fast paths apply.
-    let (lo, hi) = clip_range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
-    let (qs, xs): (Vec<i64>, Vec<f64>) = range
-        .iter()
-        .map(|q| (q, q as f64 * s))
-        .filter(|&(_, x)| x >= lo && x <= hi)
-        .unzip();
-    if qs.is_empty() {
-        return 0.0;
-    }
-    let mut approx = vec![0.0; qs.len()];
-    inst.eval_dequantized_batch(&qs, &mut approx);
-    let mut reference = vec![0.0; xs.len()];
-    f.eval_batch(&xs, &mut reference);
-    gqa_simd::sum_sq_diff(&approx, &reference) / qs.len() as f64
-}
-
 /// Dequantized-grid MSE (§4.1): inputs are sampled "orderly from the
 /// dequantized range `[Qn·S, Qp·S]` with an incremental step size of S" —
 /// i.e. exactly the values an INT8 tensor can take at scale `S`.
@@ -178,11 +143,10 @@ pub fn mse_dequantized_lut(
 /// comparison to the operator's meaningful domain (e.g. EXP's `(−8, 0]`).
 ///
 /// Returns `0.0` — a defined value, never NaN — when every code is
-/// clipped (`n == 0`). Prefer [`mse_dequantized_lut`] when the approximant
-/// is an [`IntLutInstance`]; this closure-based form exists for custom
-/// datapaths and instrumentation. Both forms accumulate through the same
-/// pinned-order reduction ([`gqa_simd::sum_sq_diff`]), so their results
-/// compare equal bit for bit on identical inputs.
+/// clipped (`n == 0`). The error accumulates through the pinned-order
+/// reduction of [`gqa_simd::sum_sq_diff`]. For an
+/// [`IntLutInstance`](crate::IntLutInstance), pass
+/// `|q| inst.eval_dequantized(q)`.
 #[must_use]
 pub fn mse_dequantized(
     eval_q: &dyn Fn(i64) -> f64,
@@ -244,7 +208,6 @@ pub fn log_compress_mse(series: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::fit::{fit_pwl, SegmentFit};
-    use crate::quantized::QuantAwareLut;
     use gqa_funcs::NonLinearOp;
 
     #[test]
@@ -341,40 +304,6 @@ mod tests {
         );
         assert_eq!(mse, 0.0);
         assert!(!mse.is_nan());
-    }
-
-    fn gelu_inst(e: i32) -> IntLutInstance {
-        let f = |x: f64| NonLinearOp::Gelu.eval(x);
-        let bps = [-2.5, -1.5, -0.8, -0.3, 0.3, 0.9, 2.0];
-        let pwl = fit_pwl(&f, (-4.0, 4.0), &bps, SegmentFit::LeastSquares).unwrap();
-        let lut = QuantAwareLut::new(pwl, 5).unwrap();
-        lut.instantiate(PowerOfTwoScale::new(e), IntRange::signed(8))
-    }
-
-    #[test]
-    fn batched_dequantized_matches_closure_form() {
-        for e in [-5, -4, -3] {
-            let inst = gelu_inst(e);
-            let clip = Some((-4.0, 4.0));
-            let batched = mse_dequantized_lut(&inst, &NonLinearOp::Gelu, clip);
-            let legacy = mse_dequantized(
-                &|q| inst.eval_dequantized(q),
-                &|x| NonLinearOp::Gelu.eval(x),
-                inst.scale(),
-                inst.range(),
-                clip,
-            );
-            assert_eq!(batched, legacy, "scale 2^{e}");
-        }
-    }
-
-    #[test]
-    fn batched_dequantized_fully_clipped_is_zero() {
-        let inst = gelu_inst(-4);
-        assert_eq!(
-            mse_dequantized_lut(&inst, &NonLinearOp::Gelu, Some((50.0, 60.0))),
-            0.0
-        );
     }
 
     #[test]

@@ -43,9 +43,9 @@
 //!
 //! ## The `simd` feature (default-on)
 //!
-//! The batch hot paths — segment sweeps, the branchless integer LUT
-//! select, the MSE accumulators — run on the wide-lane kernels of
-//! [`gqa_simd`](https://docs.rs/gqa-simd) (AVX2, runtime-detected).
+//! The batch hot paths — segment sweeps and the MSE accumulators — run
+//! on the wide-lane kernels of [`gqa_simd`](https://docs.rs/gqa-simd)
+//! (AVX2, runtime-detected).
 //! Disabling the feature compiles the scalar fallbacks instead; results
 //! are identical bit for bit either way (property-tested in
 //! `tests/batch_equivalence.rs`).

@@ -13,6 +13,7 @@ use std::fmt;
 use gqa_fxp::PowerOfTwoScale;
 
 use crate::quantized::FxpPwl;
+use crate::table::CodeTable;
 
 /// How the pwl output is rescaled after multi-range input scaling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,7 +50,8 @@ impl RescaleKind {
 pub struct SubRange {
     /// Inclusive lower edge `SRn_i`.
     pub lo: f64,
-    /// Exclusive upper edge `SRp_i` (`f64::INFINITY` for the last range).
+    /// Exclusive upper edge `SRp_i`, or `f64::INFINITY` for an unbounded
+    /// last range, which then holds +∞ as well.
     pub hi: f64,
     /// The power-of-two input scaling factor `S'_i`.
     pub scale: PowerOfTwoScale,
@@ -189,12 +191,14 @@ impl MultiRangeScaling {
         self.rescale
     }
 
-    /// Finds the applicable input scaling: `None` if `x` lies inside `IR`
-    /// (no scaling), `Some(S')` if a sub-range covers it.
+    /// Finds the applicable input scaling: `Some(S')` if a sub-range
+    /// covers `x`, `None` otherwise (no scaling).
     ///
-    /// Inputs below `IR` (or above all finite sub-ranges when the last is
-    /// bounded) saturate: they are treated as in-`IR` and the pwl's edge
-    /// entry extension handles them, matching the comparator's saturation.
+    /// An unbounded last sub-range `[lo, ∞)` covers +∞ too, so +∞ is
+    /// scaled like the largest finite input and saturates the same way.
+    /// Inputs inside or below `IR`, NaN, and inputs above a bounded last
+    /// sub-range are not scaled: the core's input word saturates them and
+    /// the pwl's edge entries extend, as the comparator bank does.
     #[must_use]
     pub fn scaling_for(&self, x: f64) -> Option<PowerOfTwoScale> {
         if x < self.ir.1 {
@@ -202,7 +206,7 @@ impl MultiRangeScaling {
         }
         self.sub_ranges
             .iter()
-            .find(|sr| x >= sr.lo && x < sr.hi)
+            .find(|sr| x >= sr.lo && (x < sr.hi || sr.hi == f64::INFINITY))
             .map(|sr| sr.scale)
     }
 }
@@ -220,23 +224,31 @@ impl fmt::Display for MultiRangeScaling {
 /// A wide-range fixed-point LUT operator: an [`FxpPwl`] core plus
 /// [`MultiRangeScaling`] front/back ends. This is the complete DIV / RSQRT
 /// hardware behaviour.
+///
+/// The core is served from its table on the input word
+/// ([`FxpPwl::tabulate`]), so each element is a pre-scale, one quantize
+/// and gather, and a rescale, with the bits of the core's
+/// [`FxpPwl::eval_f64`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiRangeLut {
-    core: FxpPwl,
+    table: CodeTable,
     scaling: MultiRangeScaling,
 }
 
 impl MultiRangeLut {
-    /// Assembles the operator from its pwl core and scaling configuration.
+    /// Assembles the operator from its pwl core, tabulated on its input
+    /// word, and its scaling configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core's input word is wider than 16 bits
+    /// ([`FxpPwl::tabulate`]).
     #[must_use]
     pub fn new(core: FxpPwl, scaling: MultiRangeScaling) -> Self {
-        Self { core, scaling }
-    }
-
-    /// The pwl core.
-    #[must_use]
-    pub fn core(&self) -> &FxpPwl {
-        &self.core
+        Self {
+            table: core.tabulate(),
+            scaling,
+        }
     }
 
     /// The scaling configuration.
@@ -251,62 +263,26 @@ impl MultiRangeLut {
     #[must_use]
     pub fn eval_f64(&self, x: f64) -> f64 {
         match self.scaling.scaling_for(x) {
-            None => self.core.eval_f64(x),
+            None => self.table.eval_f64(x),
             Some(s) => {
                 let scaled = x * s.to_f64(); // hardware: shift on the FXP word
-                let y = self.core.eval_f64(scaled);
+                let y = self.table.eval_f64(scaled);
                 y * self.scaling.rescale.output_factor(s).to_f64()
             }
         }
     }
 
-    /// Pre-scales a chunk of inputs: writes the core input `x·S'` (or `x`
-    /// itself inside `IR`) and the output rescale factor (`1.0` inside
-    /// `IR` — multiplying by exactly 1.0 is a bit-level no-op for the
-    /// finite values the FXP core produces, which is what keeps the
-    /// batched pipeline identical to [`MultiRangeLut::eval_f64`]).
-    fn prescale_chunk(&self, xc: &[f64], scaled: &mut [f64], factors: &mut [f64]) {
-        for ((x_s, f_s), &x) in scaled.iter_mut().zip(factors.iter_mut()).zip(xc) {
-            match self.scaling.scaling_for(x) {
-                None => {
-                    *x_s = x;
-                    *f_s = 1.0;
-                }
-                Some(s) => {
-                    *x_s = x * s.to_f64();
-                    *f_s = self.scaling.rescale.output_factor(s).to_f64();
-                }
-            }
-        }
-    }
-
-    /// The `f32` fast path: `out[i] = eval_f64(xs[i] as f64) as f32`
-    /// through the batched pipeline (widening is exact; the only
-    /// narrowing rounding is the final store).
+    /// The `f32` serving path: `out[i] = eval_f64(f64::from(xs[i])) as
+    /// f32` (widening is exact; the only narrowing rounding is the final
+    /// store).
     ///
     /// # Panics
     ///
     /// Panics if lengths mismatch.
     pub fn eval_batch_f32(&self, xs: &[f32], out: &mut [f32]) {
         assert_eq!(xs.len(), out.len(), "batch length mismatch");
-        const CHUNK: usize = 128;
-        let mut wide = [0.0f64; CHUNK];
-        let mut scaled = [0.0f64; CHUNK];
-        let mut factors = [0.0f64; CHUNK];
-        let mut core_out = [0.0f64; CHUNK];
-        for (xc, oc) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            let wc = &mut wide[..xc.len()];
-            for (w, &x) in wc.iter_mut().zip(xc) {
-                *w = f64::from(x);
-            }
-            let sc = &mut scaled[..xc.len()];
-            let fc = &mut factors[..xc.len()];
-            self.prescale_chunk(wc, sc, fc);
-            let cc = &mut core_out[..xc.len()];
-            gqa_funcs::BatchEval::eval_batch(&self.core, sc, cc);
-            for ((y, &c), &f) in oc.iter_mut().zip(cc.iter()).zip(fc.iter()) {
-                *y = (c * f) as f32;
-            }
+        for (y, &x) in out.iter_mut().zip(xs) {
+            *y = self.eval_f64(f64::from(x)) as f32;
         }
     }
 }
@@ -314,28 +290,6 @@ impl MultiRangeLut {
 impl gqa_funcs::BatchEval for MultiRangeLut {
     fn eval_scalar(&self, x: f64) -> f64 {
         self.eval_f64(x)
-    }
-
-    /// Batched multi-range pipeline over stack-resident chunks: per-element
-    /// sub-range selection writes the pre-scaled core input and the output
-    /// rescale factor side by side, the FXP core then sweeps the whole
-    /// chunk through its wide-lane select + multiply-add kernel, and one
-    /// multiplication sweep applies the rescale (×1.0 for in-`IR` inputs —
-    /// bit-exact, see [`MultiRangeLut::eval_f64`]).
-    fn eval_batch(&self, xs: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), out.len(), "batch length mismatch");
-        const CHUNK: usize = 128;
-        let mut scaled = [0.0f64; CHUNK];
-        let mut factors = [0.0f64; CHUNK];
-        for (xc, oc) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            let sc = &mut scaled[..xc.len()];
-            let fc = &mut factors[..xc.len()];
-            self.prescale_chunk(xc, sc, fc);
-            gqa_funcs::BatchEval::eval_batch(&self.core, sc, oc);
-            for (y, &f) in oc.iter_mut().zip(fc.iter()) {
-                *y *= f;
-            }
-        }
     }
 }
 

@@ -11,12 +11,15 @@
 //!
 //! [`QuantAwareLut`] holds the scale-independent parameters;
 //! [`IntLutInstance`] is the per-scale materialization that evaluates the
-//! integer datapath, and [`IntLutInstance::tabulate`] turns it into the
-//! [`CodeTable`] the serving engine runs (one quantization and one gather
-//! per element, the same bits). [`FxpPwl`] is the fixed-point-input
-//! variant used for the wide-range DIV/RSQRT operators (Table 2 stores
-//! their breakpoints as 8-bit FXP with λ fractional bits instead of
-//! re-quantizing per scale).
+//! integer datapath. Its scalar evaluators are the Figure-1(b) reference;
+//! [`IntLutInstance::fill_codes`] computes the same bits over a span of
+//! codes, run by run, for the quant-aware search, and
+//! [`IntLutInstance::tabulate`] fills the [`CodeTable`] the serving engine
+//! runs (one quantization and one gather per element). [`FxpPwl`] is the
+//! fixed-point-input variant used for the wide-range DIV/RSQRT operators
+//! (Table 2 stores their breakpoints as 8-bit FXP with λ fractional bits
+//! instead of re-quantizing per scale); [`FxpPwl::tabulate`] serves it
+//! from a table on its input word the same way.
 
 use gqa_fxp::{Fxp, IntRange, PowerOfTwoScale};
 
@@ -199,101 +202,18 @@ impl IntLutInstance {
         self.eval_dequantized(self.quantize_input(x))
     }
 
-    /// Batched integer datapath: `out[i] = eval_raw(qs[i])`.
+    /// The datapath on a contiguous span of codes: writes
+    /// [`eval_dequantized(lo + j)`](IntLutInstance::eval_dequantized) into
+    /// `out[j]`, bit for bit.
     ///
-    /// Ascending codes (the §4.1 dequantized-grid sweep, `IntRange::iter`
-    /// order) take a segment-walking path: the entry's `(k, b̃)` is hoisted
-    /// and its run of codes swept by the wide-lane integer-FMA kernel
-    /// ([`gqa_simd::axpy_i64`]). Arbitrary codes go through the branchless
-    /// select pipeline ([`gqa_simd::lut_select_i64`]): entry index by
-    /// comparator-bank popcount of `p̃ ≤ q`, parameter fetch by gather,
-    /// then the multiply-add — exactly the comparator bank of Figure 1(b),
-    /// four codes per cycle. Both kernels fall back to scalar on machines
-    /// without AVX2 with bit-identical results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths mismatch.
-    pub fn eval_raw_batch(&self, qs: &[i64], out: &mut [i64]) {
-        assert_eq!(qs.len(), out.len(), "batch length mismatch");
-        let bps = &self.breakpoints_q;
-        if qs.windows(2).all(|w| w[0] <= w[1]) {
-            let mut start = 0usize;
-            for (entry, &p) in bps.iter().enumerate() {
-                let end = start + qs[start..].partition_point(|&q| q < p);
-                gqa_simd::axpy_i64(
-                    self.slopes_raw[entry],
-                    self.intercepts_scaled_raw[entry],
-                    &qs[start..end],
-                    &mut out[start..end],
-                );
-                start = end;
-            }
-            let last = bps.len();
-            gqa_simd::axpy_i64(
-                self.slopes_raw[last],
-                self.intercepts_scaled_raw[last],
-                &qs[start..],
-                &mut out[start..],
-            );
-        } else {
-            gqa_simd::lut_select_i64(bps, &self.slopes_raw, &self.intercepts_scaled_raw, qs, out);
-        }
-    }
-
-    /// Batched dequantized evaluation: `out[i] = eval_dequantized(qs[i])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths mismatch.
-    pub fn eval_dequantized_batch(&self, qs: &[i64], out: &mut [f64]) {
-        assert_eq!(qs.len(), out.len(), "batch length mismatch");
-        // Go through the raw batch kernel so ascending codes (the §4.1
-        // sweep order) get its segment-walking fast path, then apply the
-        // output scaling in one multiplication sweep. Chunks of a
-        // stack-resident buffer keep the call allocation-free (chunks of
-        // an ascending sequence stay ascending, so the fast path
-        // survives chunking). Multiplying by the exact reciprocal of 2^λ
-        // is bit-identical to the scalar path's division.
-        const CHUNK: usize = 256;
-        let mut raw = [0i64; CHUNK];
-        let unscale = 1.0 / (1i64 << self.lambda) as f64;
-        let s = self.scale.to_f64();
-        for (qc, oc) in qs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            let rc = &mut raw[..qc.len()];
-            self.eval_raw_batch(qc, rc);
-            for (y, &r) in oc.iter_mut().zip(rc.iter()) {
-                *y = r as f64 * unscale * s;
-            }
-        }
-    }
-}
-
-impl IntLutInstance {
-    /// Tabulates the datapath on its input codes: a [`CodeTable`] holding
-    /// [`eval_dequantized(q)`](IntLutInstance::eval_dequantized) for every
-    /// `q ∈ [Qn, Qp]`, which serves each element as one quantization and
-    /// one gather.
-    ///
-    /// The table is filled run by run: the codes between consecutive
+    /// The span is filled run by run: the codes between consecutive
     /// quantized breakpoints share one entry, so its `(k, b̃)` is hoisted
     /// and the run is swept with the same multiply-add and output scaling
-    /// as [`eval_dequantized`](IntLutInstance::eval_dequantized).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range has more than [`CodeTable::MAX_LEVELS`] codes
-    /// or a bound of magnitude above it (any `IntRange::signed(bits)`
-    /// past 16 bits).
-    #[must_use]
-    pub fn tabulate(&self) -> CodeTable {
-        let (qn, qp) = (self.range.qn(), self.range.qp());
-        let max = CodeTable::MAX_LEVELS;
-        assert!(
-            self.range.levels() <= max && qn.unsigned_abs() <= max && qp.unsigned_abs() <= max,
-            "a code table covers at most {max} codes of magnitude at most {max}, not {}",
-            self.range
-        );
+    /// as `eval_dequantized`. [`tabulate`](IntLutInstance::tabulate) fills
+    /// the whole range this way, and the quant-aware search fills each
+    /// scale's span of in-range codes.
+    pub fn fill_codes(&self, lo: i64, out: &mut [f64]) {
+        let hi = lo + out.len() as i64;
         // Multiplying by the exact reciprocal of 2^λ is bit-identical to
         // `eval_dequantized`'s division, and cheaper.
         let unscale = 1.0 / (1i64 << self.lambda) as f64;
@@ -303,8 +223,7 @@ impl IntLutInstance {
         // are the f64 1.5·2^52 + raw, so subtracting 1.5·2^52 gives
         // `raw` exactly, in two lane-wise operations.
         const MAGIC: f64 = 6_755_399_441_055_744.0;
-        let mut values = vec![0.0; self.range.levels() as usize];
-        let mut start = qn;
+        let mut start = lo;
         for (entry, (&k, &b)) in self
             .slopes_raw
             .iter()
@@ -316,9 +235,9 @@ impl IntLutInstance {
             let end = self
                 .breakpoints_q
                 .get(entry)
-                .map_or(qp + 1, |&p| p)
+                .map_or(hi, |&p| p.min(hi))
                 .max(start);
-            let run = &mut values[(start - qn) as usize..(end - qn) as usize];
+            let run = &mut out[(start - lo) as usize..(end - lo) as usize];
             // The accumulator wraps as `eval_raw`'s does in release builds.
             let mut raw = k.wrapping_mul(start).wrapping_add(b);
             // `raw` is linear in the code, so it stays below 2^51 across
@@ -342,7 +261,24 @@ impl IntLutInstance {
             }
             start = end;
         }
-        CodeTable::new(values, self.scale, self.range)
+    }
+
+    /// Tabulates the datapath on its input codes: a [`CodeTable`] holding
+    /// [`eval_dequantized(q)`](IntLutInstance::eval_dequantized) for every
+    /// `q ∈ [Qn, Qp]` ([`fill_codes`](IntLutInstance::fill_codes) over the
+    /// range), which serves each element as one quantization and one
+    /// gather.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range has more than [`CodeTable::MAX_LEVELS`] codes
+    /// or a bound of magnitude above it (any `IntRange::signed(bits)`
+    /// past 16 bits).
+    #[must_use]
+    pub fn tabulate(&self) -> CodeTable {
+        CodeTable::new(self.scale, self.range, |values| {
+            self.fill_codes(self.range.qn(), values);
+        })
     }
 }
 
@@ -361,9 +297,8 @@ pub struct FxpPwl {
     lambda: u32,
     storage_bits: u32,
     slopes_raw: Vec<i64>,
-    intercepts_raw: Vec<i64>,
-    // b·2^λ, precomputed once so the batch kernel's select sees a plain
-    // (k, b) table without per-call allocation or re-shifting.
+    // b·2^λ: each intercept aligned once to the 2λ fractional bits of the
+    // `k·x` product it is added to.
     intercepts_aligned: Vec<i64>,
     breakpoints_raw: Vec<i64>,
 }
@@ -390,7 +325,6 @@ impl FxpPwl {
             lambda,
             storage_bits,
             slopes_raw: lut.slopes_raw.clone(),
-            intercepts_raw: lut.intercepts_raw.clone(),
             intercepts_aligned,
             breakpoints_raw,
         }
@@ -435,48 +369,36 @@ impl FxpPwl {
         }
         self.eval_raw(self.quantize_input(x)) as f64 / (1i64 << self.lambda) as f64
     }
+
+    /// Tabulates the datapath on its input word: a [`CodeTable`] at scale
+    /// 2^−λ over the `storage_bits`-wide word, holding
+    /// `eval_raw(q) / 2^λ` for every word `q`.
+    ///
+    /// At scale 2^−λ the table's quantizer rounds `x · 2^λ` onto the word,
+    /// as [`quantize_input`](FxpPwl::quantize_input) does, so
+    /// [`CodeTable::eval_f64`] returns exactly what
+    /// [`eval_f64`](FxpPwl::eval_f64) does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word is wider than 16 bits
+    /// ([`CodeTable::MAX_LEVELS`]).
+    #[must_use]
+    pub fn tabulate(&self) -> CodeTable {
+        let word = IntRange::signed(self.storage_bits);
+        let to_raw = (1i64 << self.lambda) as f64;
+        let scale = PowerOfTwoScale::new(-(self.lambda as i32));
+        CodeTable::new(scale, word, |values| {
+            for (v, q) in values.iter_mut().zip(word.iter()) {
+                *v = self.eval_raw(q) as f64 / to_raw;
+            }
+        })
+    }
 }
 
 impl gqa_funcs::BatchEval for FxpPwl {
     fn eval_scalar(&self, x: f64) -> f64 {
         self.eval_f64(x)
-    }
-
-    /// FXP batch datapath: scalar input quantization (word saturation,
-    /// then round-half-away, per element), then the branchless wide-lane
-    /// select-and-multiply-add over stack-resident chunks — the `b·2^λ`
-    /// intercept alignment is hoisted out of the loop so the kernel sees
-    /// a plain `(k, b)` LUT — then the rounding output shift.
-    fn eval_batch(&self, xs: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), out.len(), "batch length mismatch");
-        const CHUNK: usize = 256;
-        let mut raw_in = [0i64; CHUNK];
-        let mut acc = [0i64; CHUNK];
-        let to_raw = (1i64 << self.lambda) as f64;
-        let from_raw = 1.0 / to_raw;
-        let word = IntRange::signed(self.storage_bits);
-        let down = PowerOfTwoScale::new(-(self.lambda as i32));
-        for (xc, oc) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            let rc = &mut raw_in[..xc.len()];
-            for (r, &x) in rc.iter_mut().zip(xc) {
-                *r = word.saturating_round(x * to_raw);
-            }
-            let ac = &mut acc[..xc.len()];
-            gqa_simd::lut_select_i64(
-                &self.breakpoints_raw,
-                &self.slopes_raw,
-                &self.intercepts_aligned,
-                rc,
-                ac,
-            );
-            for ((y, &a), &x) in oc.iter_mut().zip(ac.iter()).zip(xc) {
-                *y = if x.is_nan() {
-                    x
-                } else {
-                    down.multiply_int(a) as f64 * from_raw
-                };
-            }
-        }
     }
 }
 

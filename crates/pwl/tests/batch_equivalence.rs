@@ -11,8 +11,10 @@
 //! both, which is what "bit-exact with `simd` on *and* off" means
 //! operationally. The `f32` fast paths (`CodeTable::eval_batch_f32`,
 //! `MultiRangeLut::eval_batch_f32`) are pinned to
-//! `(eval(f64::from(x)) as f32)` the same way, and a `CodeTable` to the
-//! `IntLutInstance` it tabulates.
+//! `(eval(f64::from(x)) as f32)` the same way, a `CodeTable` to the
+//! `IntLutInstance` or `FxpPwl` it tabulates, `IntLutInstance::fill_codes`
+//! to the per-code datapath, and the table-backed `MultiRangeLut` to the
+//! scalar FXP datapath composed with its multi-range scaling.
 
 use gqa_funcs::{BatchEval, NonLinearOp};
 use gqa_fxp::{IntRange, PowerOfTwoScale};
@@ -101,13 +103,36 @@ fn gelu_pwl(bps: &[f64]) -> Pwl {
 /// The paper's DIV unit: an FXP pwl core behind the Table 2 multi-range
 /// scaling.
 fn div_unit() -> MultiRangeLut {
-    let f = |x: f64| NonLinearOp::Div.eval(x);
-    let bps = [0.65, 0.85, 1.1, 1.5, 2.0, 2.6, 3.3];
-    let pwl = fit::fit_pwl(&f, (0.5, 4.0), &bps, SegmentFit::LeastSquares).unwrap();
-    MultiRangeLut::new(
-        FxpPwl::new(&QuantAwareLut::new(pwl, 5).unwrap(), 8),
-        MultiRangeScaling::div_paper(),
+    let (core, scaling) = wide_core(NonLinearOp::Div, 8);
+    MultiRangeLut::new(core, scaling)
+}
+
+/// The FXP core of DIV or RSQRT on a `bits`-wide input word, fitted with
+/// 7 uniform breakpoints over the operator's range, and its Table 2
+/// scaling.
+fn wide_core(op: NonLinearOp, bits: u32) -> (FxpPwl, MultiRangeScaling) {
+    let (rn, rp) = op.default_range();
+    let bps: Vec<f64> = (1..=7)
+        .map(|i| rn + (rp - rn) * f64::from(i) / 8.0)
+        .collect();
+    let pwl = fit::fit_pwl(&|x| op.eval(x), (rn, rp), &bps, SegmentFit::LeastSquares).unwrap();
+    let scaling = match op {
+        NonLinearOp::Div => MultiRangeScaling::div_paper(),
+        _ => MultiRangeScaling::rsqrt_paper(),
+    };
+    (
+        FxpPwl::new(&QuantAwareLut::new(pwl, 5).unwrap(), bits),
+        scaling,
     )
+}
+
+/// DIV/RSQRT composed from the scalar FXP datapath, not its table:
+/// pre-scale, `FxpPwl::eval_f64`, rescale.
+fn composed(core: &FxpPwl, scaling: &MultiRangeScaling, x: f64) -> f64 {
+    match scaling.scaling_for(x) {
+        None => core.eval_f64(x),
+        Some(s) => core.eval_f64(x * s.to_f64()) * scaling.rescale().output_factor(s).to_f64(),
+    }
 }
 
 proptest! {
@@ -170,15 +195,24 @@ proptest! {
         assert_table_serves_instance(&inst, &[], &xs, "code_table");
         let table = inst.tabulate();
 
-        let qs: Vec<i64> = inst.range().iter().collect();
-        let mut raw = vec![0i64; qs.len()];
-        inst.eval_raw_batch(&qs, &mut raw);
-        let mut deq = vec![0.0f64; qs.len()];
-        inst.eval_dequantized_batch(&qs, &mut deq);
-        for (i, &q) in qs.iter().enumerate() {
-            assert_eq!(raw[i], inst.eval_raw(q), "raw batch at q={q}");
-            assert!(same(deq[i], inst.eval_dequantized(q)), "deq batch at q={q}");
+        for q in inst.range().iter() {
             assert!(same(table.lookup(q), inst.eval_dequantized(q)), "table at q={q}");
+        }
+        // Spans of codes, as the quant-aware scorer fills them: every
+        // seventh start, empty to full length, and one span reaching past
+        // both ends of the range.
+        let (qn, qp) = (inst.range().qn(), inst.range().qp());
+        let mut spans: Vec<(i64, usize)> = (qn..=qp)
+            .step_by(7)
+            .flat_map(|lo| [0, 1, 13, (qp - lo + 1) as usize].map(|len| (lo, len)))
+            .collect();
+        spans.push((qn - 20, (qp - qn + 41) as usize));
+        for (lo, len) in spans {
+            let mut out = vec![0.0; len];
+            inst.fill_codes(lo, &mut out);
+            for (q, &y) in (lo..).zip(&out) {
+                assert!(same(y, inst.eval_dequantized(q)), "fill from {lo} at q={q}");
+            }
         }
         // λ = 40 at INT16 drives the top runs' accumulators past 2^51,
         // where the table fill converts each code one by one.
@@ -192,8 +226,9 @@ proptest! {
         }
     }
 
-    /// Quantized LUT path (FxpPwl): batch ≡ scalar across the storage
-    /// word's full range including saturation.
+    /// Quantized LUT path (FxpPwl): batch ≡ scalar, and its table ≡ its
+    /// scalar datapath, across the storage word's full range including
+    /// saturation.
     #[test]
     fn fxp_pwl_batch_equals_scalar(
         bps in breakpoints(),
@@ -202,6 +237,11 @@ proptest! {
         let lut = QuantAwareLut::new(gelu_pwl(&bps), 5).unwrap();
         let fxp = FxpPwl::new(&lut, 8);
         assert_batch_matches_scalar(&fxp, &xs, "fxp_pwl");
+        let table = fxp.tabulate();
+        for &x in &xs {
+            let (y, want) = (table.eval_f64(x), fxp.eval_f64(x));
+            assert!(same(y, want), "fxp table({x:e}): {y} vs {want}");
+        }
     }
 
     /// Quantized LUT path (MultiRangeLut): batch ≡ scalar across IR, the
@@ -340,6 +380,72 @@ fn served_datapaths_pass_nan_and_saturate_the_rest() {
             same(f64::from(y), f64::from(want)),
             "multirange f32({x}): {y} vs {want}"
         );
+    }
+
+    // An unbounded last sub-range holds +∞: DIV and RSQRT of +∞ are their
+    // values at the largest finite input, not the in-IR edge's.
+    for op in [NonLinearOp::Div, NonLinearOp::Rsqrt] {
+        let (core, scaling) = wide_core(op, 8);
+        let unit = MultiRangeLut::new(core, scaling);
+        let top = unit.eval_f64(f64::MAX);
+        assert_eq!(unit.eval_f64(f64::INFINITY), top, "{op}(+inf)");
+        let mut out = [0.0f32; 2];
+        unit.eval_batch_f32(&[f32::INFINITY, f32::MAX], &mut out);
+        assert_eq!(out, [top as f32; 2], "{op} f32(+inf), f32(MAX)");
+    }
+}
+
+/// The table-backed `MultiRangeLut` serves exactly the composed scalar
+/// datapath, on the `f64` and `f32` paths: at every input-word boundary
+/// (q ± ½)·2^−λ, unscaled and mapped back through each sub-range's S',
+/// with its neighbours one ulp either side, and at each sub-range edge,
+/// for 4-, 8- and 16-bit words.
+#[test]
+fn multirange_table_serves_the_composed_datapath() {
+    for op in [NonLinearOp::Div, NonLinearOp::Rsqrt] {
+        for bits in [4, 8, 16] {
+            let (core, scaling) = wide_core(op, bits);
+            let unit = MultiRangeLut::new(core.clone(), scaling.clone());
+            let step = 1.0 / f64::from(1u32 << core.lambda());
+            let mut xs = Vec::new();
+            for s in
+                std::iter::once(1.0).chain(scaling.sub_ranges().iter().map(|sr| sr.scale.to_f64()))
+            {
+                for q in IntRange::signed(bits).iter() {
+                    for half in [-0.5, 0.5] {
+                        let x = (q as f64 + half) * step / s;
+                        xs.extend([x.next_down(), x, x.next_up()]);
+                    }
+                }
+            }
+            let (rn, rp) = scaling.ir();
+            for edge in [rn, rp]
+                .into_iter()
+                .chain(scaling.sub_ranges().iter().flat_map(|sr| [sr.lo, sr.hi]))
+            {
+                xs.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            xs.extend([0.0, -0.0, f64::MAX, f64::NAN, f64::NEG_INFINITY]);
+            let label = format!("{op} INT{bits}");
+            for &x in &xs {
+                let (y, want) = (unit.eval_f64(x), composed(&core, &scaling, x));
+                assert!(
+                    same(y, want),
+                    "{label}({x:e}): table {y} vs datapath {want}"
+                );
+            }
+            assert_batch_matches_scalar(&unit, &xs, &label);
+            let xs32: Vec<f32> = xs.iter().map(|&x| x as f32).collect();
+            let mut out = vec![0.0f32; xs32.len()];
+            unit.eval_batch_f32(&xs32, &mut out);
+            for (&x, &y) in xs32.iter().zip(&out) {
+                let want = composed(&core, &scaling, f64::from(x)) as f32;
+                assert!(
+                    same(f64::from(y), f64::from(want)),
+                    "{label} f32({x:e}): table {y} vs datapath {want}"
+                );
+            }
+        }
     }
 }
 

@@ -3,10 +3,13 @@
 //! [`UnaryBackend`] the engine installs into each hot-swap cell.
 //!
 //! [`build_datapath`] is the one way from a compiled artifact to a
-//! datapath: scale-dependent operators instantiate the quant-aware LUT at
-//! a power-of-two input scale and tabulate it on its input codes; the
-//! wide-range DIV/RSQRT intermediates run the paper's multi-range FXP
-//! datapath.
+//! datapath, and every datapath it builds is a table over input codes.
+//! Scale-dependent operators instantiate the quant-aware LUT at a
+//! power-of-two input scale and tabulate it on its input codes, so an
+//! element costs one quantization and one gather. The wide-range DIV/RSQRT
+//! intermediates tabulate the FXP core on its input word and serve it
+//! behind the paper's multi-range input scaling: a pre-scale, one
+//! quantization and gather, and a rescale.
 
 use gqa_funcs::{BatchEval, NonLinearOp};
 use gqa_fxp::{IntRange, PowerOfTwoScale};
@@ -21,7 +24,8 @@ pub enum OpDatapath {
     /// ([`gqa_pwl::IntLutInstance::tabulate`]).
     Scaled(CodeTable),
     /// Wide-range intermediates (DIV/RSQRT): the §3.1 multi-range input
-    /// scaling around the FXP pwl core.
+    /// scaling around the FXP pwl core, tabulated on its `bits`-wide
+    /// input word ([`gqa_pwl::FxpPwl::tabulate`]).
     Wide(MultiRangeLut),
 }
 
@@ -61,9 +65,9 @@ impl OpDatapath {
 ///
 /// # Panics
 ///
-/// Panics if `bits` is outside `1..=16` for a scale-dependent operator
-/// (the table would hold more than 65,536 entries); the engine refuses
-/// such a plan with [`crate::EngineError::InvalidBits`] first.
+/// Panics if `bits` is outside `1..=16`: every operator is tabulated,
+/// and a table holds at most 65,536 entries. The engine refuses such a
+/// plan with [`crate::EngineError::InvalidBits`] first.
 #[must_use]
 pub fn build_datapath(
     artifact: &QuantAwareLut,

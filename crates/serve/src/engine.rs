@@ -18,10 +18,10 @@ use crate::store::ShardStore;
 /// Number of [`UnaryKind`] variants (the session dispatch table width).
 pub(crate) const N_KINDS: usize = 8;
 
-/// The datapaths serve 1..=16-bit words: a scale-dependent operator is a
-/// table over its `2^bits` codes (65,536 entries, 512 KB at 16 bits), and
-/// wider words would let the integer multiply-add wrap. Reject anything
-/// else before a search is spent on it.
+/// The datapaths serve 1..=16-bit words: every operator is a table over
+/// its `2^bits` codes (65,536 entries, 512 KB at 16 bits), and wider
+/// words would let the integer multiply-add wrap. Reject anything else
+/// before a search is spent on it.
 fn validate_bits(bits: u32) -> Result<(), EngineError> {
     if (1..=16).contains(&bits) {
         Ok(())

@@ -10,8 +10,14 @@
 //! the table to the datapath's own bits rather than to a reference
 //! computed by the same build.
 //!
-//! Both tests are ignored by default (together about three minutes on
-//! two CPUs in a release build); run them with
+//! DIV and RSQRT are served from a table too: the FXP core's, on its
+//! input word, behind the multi-range pre-scale and rescale. A strided
+//! pass checks those units at 4, 8 and 16 bits against a reference
+//! composed in this file from the scalar `FxpPwl::eval_f64` and the
+//! operator's `MultiRangeScaling`, which never touches the table.
+//!
+//! All three tests are ignored by default (together a few minutes on two
+//! CPUs in a release build); run them with
 //! `cargo test --release -p gqa-serve --test table_sweep -- --ignored`.
 
 use std::sync::Arc;
@@ -19,29 +25,28 @@ use std::thread;
 
 use gqa_funcs::NonLinearOp;
 use gqa_fxp::{IntRange, PowerOfTwoScale};
-use gqa_pwl::{IntLutInstance, QuantAwareLut};
+use gqa_pwl::{FxpPwl, MultiRangeScaling, QuantAwareLut};
 use gqa_serve::{build_datapath, EngineBuilder, Method, OpDatapath, OpPlan, OperatorPlan};
 
-const OPS: [NonLinearOp; 2] = [NonLinearOp::Gelu, NonLinearOp::Exp];
-
-/// The GELU and EXP artifacts of the paper's default plan (GQA w/ RM).
-fn artifacts() -> Vec<(NonLinearOp, Arc<QuantAwareLut>)> {
+/// The artifacts of the paper's default plan (GQA w/ RM) for `ops`.
+fn artifacts(ops: &[NonLinearOp]) -> Vec<(NonLinearOp, Arc<QuantAwareLut>)> {
     let plan = OpPlan::new(Method::GqaRm);
     let engine = EngineBuilder::new(
-        OPS.iter()
+        ops.iter()
             .fold(OperatorPlan::new(), |p, &op| p.with(op, plan)),
     )
     .build()
     .expect("default plan builds");
-    OPS.iter()
+    ops.iter()
         .map(|&op| (op, engine.artifact(op).expect("planned")))
         .collect()
 }
 
 /// Runs every `stride`-th `f32` bit pattern through the served datapath
-/// and the instance it tabulates, split over up to eight scoped threads.
-/// Panics with the first mismatch; returns the number of inputs checked.
-fn sweep(label: &str, served: &OpDatapath, inst: &IntLutInstance, stride: u64) -> u64 {
+/// and `want`, the scalar `f64` datapath it must equal after narrowing,
+/// split over up to eight scoped threads. Panics with the first mismatch;
+/// returns the number of inputs checked.
+fn sweep(label: &str, served: &OpDatapath, want: &(dyn Fn(f64) -> f64 + Sync), stride: u64) -> u64 {
     const BLOCK: usize = 4096;
     let n = (1u64 << 32).div_ceil(stride);
     let threads = thread::available_parallelism()
@@ -62,7 +67,7 @@ fn sweep(label: &str, served: &OpDatapath, inst: &IntLutInstance, stride: u64) -
                         let out = &mut out[..xs.len()];
                         served.eval_batch_f32(&xs, out);
                         for (&x, &y) in xs.iter().zip(out.iter()) {
-                            let want = inst.eval_f64(f64::from(x)) as f32;
+                            let want = want(f64::from(x)) as f32;
                             assert!(
                                 y.to_bits() == want.to_bits() || (y.is_nan() && want.is_nan()),
                                 "{label}: x = {x:e} ({:#010x}) served {y:e}, datapath {want:e}",
@@ -86,13 +91,23 @@ fn check(op: NonLinearOp, artifact: &QuantAwareLut, e: i32, bits: u32, stride: u
     let served = build_datapath(artifact, op, bits, scale);
     assert!(matches!(served, OpDatapath::Scaled(_)), "{op} is tabulated");
     let inst = artifact.instantiate(scale, IntRange::signed(bits));
-    sweep(&format!("{op} S=2^{e} INT{bits}"), &served, &inst, stride)
+    let want = |x| inst.eval_f64(x);
+    sweep(&format!("{op} S=2^{e} INT{bits}"), &served, &want, stride)
+}
+
+/// DIV/RSQRT composed from the FXP core's scalar datapath, not its
+/// table: pre-scale, `FxpPwl::eval_f64`, rescale.
+fn composed(core: &FxpPwl, scaling: &MultiRangeScaling, x: f64) -> f64 {
+    match scaling.scaling_for(x) {
+        None => core.eval_f64(x),
+        Some(s) => core.eval_f64(x * s.to_f64()) * scaling.rescale().output_factor(s).to_f64(),
+    }
 }
 
 #[test]
 #[ignore = "exhaustive: 2^32 inputs per operator; run in release with --ignored"]
 fn every_f32_is_served_bit_exact_at_int8() {
-    for (op, artifact) in artifacts() {
+    for (op, artifact) in artifacts(&[NonLinearOp::Gelu, NonLinearOp::Exp]) {
         let checked = check(op, &artifact, -4, 8, 1);
         assert_eq!(checked, 1 << 32);
         eprintln!("{op}: all {checked} f32 bit patterns bit-exact at S = 2^-4, INT8");
@@ -102,12 +117,31 @@ fn every_f32_is_served_bit_exact_at_int8() {
 #[test]
 #[ignore = "strided: 2^32/97 inputs per configuration; run in release with --ignored"]
 fn every_97th_f32_is_served_bit_exact_across_scales_and_precisions() {
-    for (op, artifact) in artifacts() {
+    for (op, artifact) in artifacts(&[NonLinearOp::Gelu, NonLinearOp::Exp]) {
         for e in -6..=0 {
             for bits in [4, 8, 16] {
                 let checked = check(op, &artifact, e, bits, 97);
                 eprintln!("{op} S = 2^{e} INT{bits}: {checked} f32 bit patterns bit-exact");
             }
+        }
+    }
+}
+
+#[test]
+#[ignore = "strided: 2^32/97 inputs per configuration; run in release with --ignored"]
+fn every_97th_f32_is_served_bit_exact_through_div_and_rsqrt() {
+    for (op, artifact) in artifacts(&[NonLinearOp::Div, NonLinearOp::Rsqrt]) {
+        let scaling = match op {
+            NonLinearOp::Div => MultiRangeScaling::div_paper(),
+            _ => MultiRangeScaling::rsqrt_paper(),
+        };
+        for bits in [4, 8, 16] {
+            let served = build_datapath(&artifact, op, bits, PowerOfTwoScale::new(0));
+            assert!(matches!(served, OpDatapath::Wide(_)), "{op} is multi-range");
+            let core = FxpPwl::new(&artifact, bits);
+            let want = |x| composed(&core, &scaling, x);
+            let checked = sweep(&format!("{op} INT{bits}"), &served, &want, 97);
+            eprintln!("{op} INT{bits}: {checked} f32 bit patterns bit-exact");
         }
     }
 }

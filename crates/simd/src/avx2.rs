@@ -5,28 +5,23 @@
 //! Every function here is `#[target_feature(enable = "avx2")]` and must
 //! only be called after `is_x86_feature_detected!("avx2")` returned true
 //! (the dispatchers in `lib.rs` do exactly that). Pointer arithmetic stays
-//! inside the validated slice bounds; gathers index `slopes`/`intercepts`
-//! with entry numbers in `0..=breakpoints.len()`, which the dispatcher's
-//! length checks make in-bounds.
+//! inside the slice bounds the dispatchers validate; no kernel gathers.
 //!
-//! Exactness: floating-point kernels use separate `mul`/`add` (never FMA),
-//! `max`/`min` where the scalar spelling uses `f64::max`/`clamp`, and the
-//! integer kernels implement wrapping 64-bit multiply-add via the
-//! standard three-`pmuludq` low-half decomposition — all bit-identical to
-//! the `scalar` module (NaN payloads excepted, see crate docs).
+//! Exactness: the kernels use separate `mul`/`add` (never FMA), and
+//! `max`/`min` where the scalar spelling uses `f64::max`/`clamp` — all
+//! bit-identical to the `scalar` module (NaN payloads excepted, see crate
+//! docs).
 
 #![allow(unsafe_code)]
 
 use std::arch::x86_64::{
-    __m256, __m256d, __m256i, _mm256_add_epi64, _mm256_add_pd, _mm256_add_ps, _mm256_and_pd,
-    _mm256_andnot_pd, _mm256_blendv_pd, _mm256_castpd256_pd128, _mm256_castps256_ps128,
-    _mm256_castsi256_pd, _mm256_cmp_pd, _mm256_cmpgt_epi64, _mm256_cvtepi32_epi64,
-    _mm256_cvtpd_epi32, _mm256_div_pd, _mm256_extractf128_pd, _mm256_extractf128_ps,
-    _mm256_floor_pd, _mm256_i64gather_epi64, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_loadu_si256,
-    _mm256_max_pd, _mm256_max_ps, _mm256_min_pd, _mm256_mul_epu32, _mm256_mul_pd, _mm256_mul_ps,
-    _mm256_or_pd, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd,
-    _mm256_setzero_ps, _mm256_slli_epi64, _mm256_sqrt_pd, _mm256_srli_epi64, _mm256_storeu_pd,
-    _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_pd, _mm256_sub_ps, _mm_add_epi32, _mm_add_pd,
+    __m256, __m256d, _mm256_add_pd, _mm256_add_ps, _mm256_and_pd, _mm256_andnot_pd,
+    _mm256_blendv_pd, _mm256_castpd256_pd128, _mm256_castps256_ps128, _mm256_castsi256_pd,
+    _mm256_cmp_pd, _mm256_cvtepi32_epi64, _mm256_cvtpd_epi32, _mm256_div_pd, _mm256_extractf128_pd,
+    _mm256_extractf128_ps, _mm256_floor_pd, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_max_pd,
+    _mm256_max_ps, _mm256_min_pd, _mm256_mul_pd, _mm256_mul_ps, _mm256_or_pd, _mm256_set1_pd,
+    _mm256_set1_ps, _mm256_setzero_pd, _mm256_setzero_ps, _mm256_slli_epi64, _mm256_sqrt_pd,
+    _mm256_storeu_pd, _mm256_storeu_ps, _mm256_sub_pd, _mm256_sub_ps, _mm_add_epi32, _mm_add_pd,
     _mm_add_ps, _mm_add_ss, _mm_cvtsd_f64, _mm_cvtss_f32, _mm_max_ps, _mm_max_ss, _mm_movehl_ps,
     _mm_set1_epi32, _mm_shuffle_ps, _mm_srai_epi32, _mm_sub_epi32, _mm_unpackhi_pd, _CMP_EQ_OQ,
     _CMP_GE_OQ, _CMP_GT_OQ, _CMP_LT_OQ, _CMP_UNORD_Q,
@@ -48,81 +43,6 @@ pub unsafe fn axpy_f64(k: f64, b: f64, xs: &[f64], out: &mut [f64]) {
     }
     while i < n {
         *out.get_unchecked_mut(i) = k * *xs.get_unchecked(i) + b;
-        i += 1;
-    }
-}
-
-/// Wrapping 64-bit `k·q` with `k` constant: `lo(k)·lo(q)` plus the two
-/// 32×32 cross products shifted up, all mod 2^64.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn mul64_const(q: __m256i, k_lo: __m256i, k_hi: __m256i) -> __m256i {
-    let lo = _mm256_mul_epu32(q, k_lo); // lo(q)·lo(k), full 64-bit
-    let c1 = _mm256_mul_epu32(q, k_hi); // lo(q)·hi(k)
-    let c2 = _mm256_mul_epu32(_mm256_srli_epi64::<32>(q), k_lo); // hi(q)·lo(k)
-    let cross = _mm256_add_epi64(c1, c2);
-    _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(cross))
-}
-
-/// Wrapping 64-bit lane-wise `a·b` (both variable).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn mul64(a: __m256i, b: __m256i) -> __m256i {
-    let lo = _mm256_mul_epu32(a, b);
-    let c1 = _mm256_mul_epu32(a, _mm256_srli_epi64::<32>(b));
-    let c2 = _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), b);
-    let cross = _mm256_add_epi64(c1, c2);
-    _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(cross))
-}
-
-#[target_feature(enable = "avx2")]
-pub unsafe fn axpy_i64(k: i64, b: i64, qs: &[i64], out: &mut [i64]) {
-    let n = qs.len();
-    let k_lo = _mm256_set1_epi64x((k as u64 & 0xFFFF_FFFF) as i64);
-    let k_hi = _mm256_set1_epi64x(((k as u64) >> 32) as i64);
-    let bv = _mm256_set1_epi64x(b);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let q = _mm256_loadu_si256(qs.as_ptr().add(i).cast());
-        let y = _mm256_add_epi64(mul64_const(q, k_lo, k_hi), bv);
-        _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), y);
-        i += 4;
-    }
-    while i < n {
-        *out.get_unchecked_mut(i) = k.wrapping_mul(*qs.get_unchecked(i)).wrapping_add(b);
-        i += 1;
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub unsafe fn lut_select_i64(
-    breakpoints: &[i64],
-    slopes: &[i64],
-    intercepts: &[i64],
-    qs: &[i64],
-    out: &mut [i64],
-) {
-    let n = qs.len();
-    let nbps = _mm256_set1_epi64x(breakpoints.len() as i64);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let q = _mm256_loadu_si256(qs.as_ptr().add(i).cast());
-        // Comparator bank: each `p > q` mask is −1, so accumulating masks
-        // onto `len(breakpoints)` yields `#{p ≤ q}` — the entry index.
-        let mut idx = nbps;
-        for &p in breakpoints {
-            idx = _mm256_add_epi64(idx, _mm256_cmpgt_epi64(_mm256_set1_epi64x(p), q));
-        }
-        let k = _mm256_i64gather_epi64::<8>(slopes.as_ptr(), idx);
-        let b = _mm256_i64gather_epi64::<8>(intercepts.as_ptr(), idx);
-        let y = _mm256_add_epi64(mul64(k, q), b);
-        _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), y);
-        i += 4;
-    }
-    while i < n {
-        let q = *qs.get_unchecked(i);
-        let e: usize = breakpoints.iter().map(|&p| usize::from(p <= q)).sum();
-        *out.get_unchecked_mut(i) = slopes[e].wrapping_mul(q).wrapping_add(intercepts[e]);
         i += 1;
     }
 }

@@ -1,21 +1,12 @@
 //! # gqa-simd — explicit wide-lane kernels for the batch eval spine
 //!
-//! PR 1/2 shaped every hot loop of the reproduction (`Pwl::eval_sorted_batch`,
-//! `IntLutInstance::eval_raw_batch`, `ReluNet1d::forward_batch`, the grid-MSE
-//! accumulators) into contiguous buffer sweeps. This crate supplies the
-//! explicit SIMD implementations of those sweeps:
+//! The hot loops of the reproduction (`Pwl::eval_sorted_batch`,
+//! `ReluNet1d::forward_batch`, the grid-MSE accumulators, the tensor
+//! backend's unary and row sweeps, the model matmuls) are contiguous
+//! buffer sweeps. This crate supplies the explicit SIMD implementations
+//! of those sweeps:
 //!
-//! * [`axpy_f64`] / [`axpy_i64`] — `out[i] = k·x[i] + b`, the pwl segment
-//!   kernel (floating-point and λ-fractional-bit integer forms).
-//! * [`lut_select_i64`] — the branchless LUT datapath for *unsorted* codes:
-//!   entry index by comparator-bank popcount (`#{p̃ ≤ q}`), parameter fetch
-//!   by gather, then the integer multiply-add. This is Figure 1(b) as a
-//!   4-lane vector pipeline. It runs the DIV/RSQRT core
-//!   (`FxpPwl::eval_batch`) and the unsorted branch of
-//!   `IntLutInstance::eval_raw_batch`. The scale-dependent operators are not
-//!   served through it: the engine tabulates their datapath once per
-//!   build (`IntLutInstance::tabulate`) and serves each element as one
-//!   quantization and one table gather.
+//! * [`axpy_f64`] — `out[i] = k·x[i] + b`, the pwl segment kernel.
 //! * [`relu_unit_accum`] — one hidden unit of the NN-LUT network swept
 //!   across a buffer: `out[i] += w2·max(w1·x[i] + b1, 0)`.
 //! * [`sum_sq_diff`] — the MSE accumulator `Σ (a[i] − b[i])²` with a
@@ -38,6 +29,13 @@
 //!   packing, and vectorizing across output columns without changing a
 //!   bit. [`matmul_path`] names the dispatched kernel for bench labels.
 //!
+//! The integer LUT datapath of Figure 1(b) has no kernel here. Its output
+//! is a pure function of the input code, so `gqa-pwl` tabulates it once
+//! per build (`IntLutInstance::tabulate` for the scale-dependent
+//! operators, `FxpPwl::tabulate` for the DIV/RSQRT core) and serves each
+//! element as one quantization and one table gather; the quant-aware
+//! search fills its codes run by run (`IntLutInstance::fill_codes`).
+//!
 //! ## Dispatch and exactness contract
 //!
 //! Every public function is safe and dispatches at runtime: on x86-64 with
@@ -45,10 +43,8 @@
 //! ([`simd_active`]), the intrinsic path runs; otherwise a scalar fallback
 //! runs. The two paths are **bit-identical** for every input:
 //!
-//! * floating-point kernels use separate multiply and add (no FMA
-//!   contraction), so each element sees exactly the scalar operation
-//!   sequence;
-//! * integer kernels use wrapping arithmetic in both paths;
+//! * the kernels use separate multiply and add (no FMA contraction), so
+//!   each element sees exactly the scalar operation sequence;
 //! * [`sum_sq_diff`] does not promise "the sequential sum" — it promises a
 //!   *fixed four-lane reduction order* that the scalar fallback replays
 //!   exactly (stride-4 lane accumulators, `(l0+l2)+(l1+l3)` combine,
@@ -72,14 +68,14 @@
 //! ## Example
 //!
 //! ```
-//! // A 3-entry LUT: slopes/intercepts per entry, breakpoints between them.
-//! let bps = [-10i64, 10];
-//! let slopes = [1i64, 2, 3];
-//! let intercepts = [0i64, 5, -5];
-//! let qs = [-128i64, 0, 127];
-//! let mut out = [0i64; 3];
-//! gqa_simd::lut_select_i64(&bps, &slopes, &intercepts, &qs, &mut out);
-//! assert_eq!(out, [-128, 5, 376]); // entries 0, 1, 2
+//! // The pwl segment kernel: one entry's (k, b) over its run of inputs.
+//! let xs = [-1.0, 0.0, 0.5, 2.0, 4.0];
+//! let mut out = [0.0; 5];
+//! gqa_simd::axpy_f64(0.5, 1.0, &xs, &mut out);
+//! assert_eq!(out, [0.5, 1.0, 1.25, 2.0, 3.0]);
+//! // The MSE accumulator, in its pinned reduction order.
+//! let want = [0.5, 1.0, 1.25, 2.0, 2.0];
+//! assert_eq!(gqa_simd::sum_sq_diff(&out, &want), 1.0);
 //! ```
 
 #![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
@@ -128,61 +124,6 @@ pub fn axpy_f64(k: f64, b: f64, xs: &[f64], out: &mut [f64]) {
         return;
     }
     scalar::axpy_f64(k, b, xs, out);
-}
-
-/// `out[i] = k·qs[i] + b` in wrapping 64-bit integer arithmetic — the
-/// λ-fractional-bit multiplier + adder of the hardware datapath, applied
-/// to a run of codes sharing one LUT entry.
-///
-/// # Panics
-///
-/// Panics if `qs.len() != out.len()`.
-pub fn axpy_i64(k: i64, b: i64, qs: &[i64], out: &mut [i64]) {
-    assert_eq!(qs.len(), out.len(), "batch length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just detected.
-        unsafe { avx2::axpy_i64(k, b, qs, out) };
-        return;
-    }
-    scalar::axpy_i64(k, b, qs, out);
-}
-
-/// The branchless integer LUT datapath for arbitrary (unsorted) codes:
-/// for each `q`, the entry index is the comparator-bank popcount
-/// `i = #{p ∈ breakpoints : p ≤ q}` and `out = slopes[i]·q + intercepts[i]`
-/// (wrapping). Exactly the select + multiply-add pipeline of Figure 1(b).
-///
-/// # Panics
-///
-/// Panics if `qs.len() != out.len()` or
-/// `slopes.len() != breakpoints.len() + 1 != intercepts.len()`.
-pub fn lut_select_i64(
-    breakpoints: &[i64],
-    slopes: &[i64],
-    intercepts: &[i64],
-    qs: &[i64],
-    out: &mut [i64],
-) {
-    assert_eq!(qs.len(), out.len(), "batch length mismatch");
-    assert_eq!(
-        slopes.len(),
-        breakpoints.len() + 1,
-        "need breakpoints + 1 slopes"
-    );
-    assert_eq!(
-        intercepts.len(),
-        slopes.len(),
-        "need as many intercepts as slopes"
-    );
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just detected; parameter lengths were
-        // validated above, so every gathered index is in bounds.
-        unsafe { avx2::lut_select_i64(breakpoints, slopes, intercepts, qs, out) };
-        return;
-    }
-    scalar::lut_select_i64(breakpoints, slopes, intercepts, qs, out);
 }
 
 /// One ReLU hidden unit accumulated across a buffer:
@@ -500,50 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_i64_matches_wrapping_scalar() {
-        for n in [0usize, 1, 5, 16, 31] {
-            let qs: Vec<i64> = (0..n as i64).map(|i| i * 7 - 64).collect();
-            let mut out = vec![0i64; n];
-            axpy_i64(23, -100, &qs, &mut out);
-            for (&q, &y) in qs.iter().zip(&out) {
-                assert_eq!(y, 23i64.wrapping_mul(q).wrapping_add(-100));
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_i64_wraps_like_the_hardware() {
-        let qs = [i64::MAX, i64::MIN, 0x7FFF_FFFF_FFFF];
-        let mut out = [0i64; 3];
-        axpy_i64(3, 9, &qs, &mut out);
-        for (&q, &y) in qs.iter().zip(&out) {
-            assert_eq!(y, 3i64.wrapping_mul(q).wrapping_add(9));
-        }
-    }
-
-    #[test]
-    fn lut_select_covers_all_entries() {
-        let bps = [-50i64, 0, 50];
-        let slopes = [1i64, -2, 3, -4];
-        let intercepts = [10i64, 20, 30, 40];
-        let qs: Vec<i64> = (-128..=127).rev().collect(); // unsorted on purpose
-        let mut out = vec![0i64; qs.len()];
-        lut_select_i64(&bps, &slopes, &intercepts, &qs, &mut out);
-        for (&q, &y) in qs.iter().zip(&out) {
-            let i = bps.iter().filter(|&&p| p <= q).count();
-            assert_eq!(y, slopes[i] * q + intercepts[i], "q={q}");
-        }
-    }
-
-    #[test]
-    fn lut_select_single_entry_boundaries() {
-        // One breakpoint, codes exactly at it: p <= q tie goes to entry 1.
-        let mut out = [0i64; 3];
-        lut_select_i64(&[5], &[2, 7], &[0, 1], &[4, 5, 6], &mut out);
-        assert_eq!(out, [8, 36, 43]);
-    }
-
-    #[test]
     fn relu_unit_accumulates_in_place() {
         for n in [1usize, 4, 6, 50] {
             let xs = xs_f64(n);
@@ -786,15 +683,6 @@ mod tests {
         axpy_f64(1.1, 2.2, &xs, &mut a);
         scalar::axpy_f64(1.1, 2.2, &xs, &mut b);
         assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
-
-        let qs: Vec<i64> = (-48..49).collect();
-        let (mut ia, mut ib) = (vec![0i64; 97], vec![0i64; 97]);
-        let bps = [-30i64, -5, 12];
-        let ks = [3i64, -7, 11, 13];
-        let bs = [1i64, 2, 3, 4];
-        lut_select_i64(&bps, &ks, &bs, &qs, &mut ia);
-        scalar::lut_select_i64(&bps, &ks, &bs, &qs, &mut ib);
-        assert_eq!(ia, ib);
 
         assert_eq!(
             sum_sq_diff(&xs, &a).to_bits(),

@@ -2,32 +2,12 @@
 //!
 //! These are not "slow paths" semantically: they *define* the results. The
 //! AVX2 module mirrors each operation sequence exactly (separate mul/add,
-//! wrapping integer math, the pinned four-lane reduction of
-//! [`sum_sq_diff`]), and the crate tests assert bit-equality between the
-//! two modules on AVX2 machines.
+//! the pinned four-lane reduction of [`sum_sq_diff`]), and the crate tests
+//! assert bit-equality between the two modules on AVX2 machines.
 
 pub fn axpy_f64(k: f64, b: f64, xs: &[f64], out: &mut [f64]) {
     for (y, &x) in out.iter_mut().zip(xs) {
         *y = k * x + b;
-    }
-}
-
-pub fn axpy_i64(k: i64, b: i64, qs: &[i64], out: &mut [i64]) {
-    for (y, &q) in out.iter_mut().zip(qs) {
-        *y = k.wrapping_mul(q).wrapping_add(b);
-    }
-}
-
-pub fn lut_select_i64(
-    breakpoints: &[i64],
-    slopes: &[i64],
-    intercepts: &[i64],
-    qs: &[i64],
-    out: &mut [i64],
-) {
-    for (y, &q) in out.iter_mut().zip(qs) {
-        let i: usize = breakpoints.iter().map(|&p| usize::from(p <= q)).sum();
-        *y = slopes[i].wrapping_mul(q).wrapping_add(intercepts[i]);
     }
 }
 
