@@ -2,7 +2,6 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::str::FromStr;
 
 use crate::rounding::round_half_away;
 
@@ -89,26 +88,6 @@ impl Fxp {
         self.raw as f64 / (1i64 << self.frac_bits) as f64
     }
 
-    /// Re-expresses the same value with a different number of fractional
-    /// bits, rounding half-away if precision is lost.
-    #[must_use]
-    pub fn rescale(self, frac_bits: u32) -> Self {
-        if frac_bits == self.frac_bits {
-            return self;
-        }
-        if frac_bits > self.frac_bits {
-            let shift = frac_bits - self.frac_bits;
-            Self::from_raw(
-                self.raw.checked_shl(shift).expect("rescale overflow"),
-                frac_bits,
-            )
-        } else {
-            let shift = self.frac_bits - frac_bits;
-            let scale = crate::PowerOfTwoScale::new(-(shift as i32));
-            Self::from_raw(scale.multiply_int(self.raw), frac_bits)
-        }
-    }
-
     /// Saturating cast of the raw value into a `bits`-wide signed integer,
     /// keeping the Q-format. Models storing the parameter in a `bits`-wide
     /// LUT word.
@@ -116,54 +95,6 @@ impl Fxp {
     pub fn saturate_to_bits(self, bits: u32) -> Self {
         let r = crate::IntRange::signed(bits);
         Self::from_raw(r.clamp(self.raw), self.frac_bits)
-    }
-
-    /// Number of bits needed to store `raw` in two's complement (including
-    /// the sign bit).
-    #[must_use]
-    pub fn storage_bits(self) -> u32 {
-        let r = self.raw;
-        if r >= 0 {
-            64 - r.leading_zeros() + 1
-        } else {
-            64 - (!r).leading_zeros() + 1
-        }
-    }
-
-    /// Fixed-point multiply: exact product with `self.frac_bits +
-    /// rhs.frac_bits` fractional bits. This is what the hardware multiplier
-    /// produces before any requantization.
-    ///
-    /// # Panics
-    ///
-    /// Panics on raw overflow or if the combined format exceeds
-    /// [`Fxp::MAX_FRAC_BITS`].
-    #[must_use]
-    pub fn wide_mul(self, rhs: Fxp) -> Fxp {
-        let raw = self
-            .raw
-            .checked_mul(rhs.raw)
-            .expect("Fxp multiply overflow");
-        Fxp::from_raw(raw, self.frac_bits + rhs.frac_bits)
-    }
-
-    /// Fixed-point add after aligning to the finer of the two formats.
-    ///
-    /// # Panics
-    ///
-    /// Panics on raw overflow.
-    #[must_use]
-    pub fn wide_add(self, rhs: Fxp) -> Fxp {
-        let bits = self.frac_bits.max(rhs.frac_bits);
-        let a = self.rescale(bits);
-        let b = rhs.rescale(bits);
-        Fxp::from_raw(a.raw.checked_add(b.raw).expect("Fxp add overflow"), bits)
-    }
-
-    /// Zero in the given format.
-    #[must_use]
-    pub fn zero(frac_bits: u32) -> Self {
-        Self::from_raw(0, frac_bits)
     }
 }
 
@@ -192,23 +123,6 @@ impl Ord for Fxp {
     }
 }
 
-impl std::hash::Hash for Fxp {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Hash the canonical (odd raw, frac) pair so equal values hash equally.
-        let (mut raw, mut frac) = (self.raw, self.frac_bits as i64);
-        if raw == 0 {
-            frac = 0;
-        } else {
-            while raw % 2 == 0 && frac > 0 {
-                raw /= 2;
-                frac -= 1;
-            }
-        }
-        raw.hash(state);
-        frac.hash(state);
-    }
-}
-
 impl From<Fxp> for f64 {
     fn from(v: Fxp) -> f64 {
         v.to_f64()
@@ -218,43 +132,6 @@ impl From<Fxp> for f64 {
 impl fmt::Display for Fxp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} (Q.{})", self.to_f64(), self.frac_bits)
-    }
-}
-
-/// Error returned when parsing an [`Fxp`] from a string fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseFxpError {
-    msg: String,
-}
-
-impl fmt::Display for ParseFxpError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid fixed-point literal: {}", self.msg)
-    }
-}
-
-impl std::error::Error for ParseFxpError {}
-
-impl FromStr for Fxp {
-    type Err = ParseFxpError;
-
-    /// Parses `"<raw>q<frac_bits>"`, e.g. `"23q5"` for 23/32.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (raw_s, frac_s) = s.split_once('q').ok_or_else(|| ParseFxpError {
-            msg: format!("missing 'q' separator in {s:?}"),
-        })?;
-        let raw: i64 = raw_s.trim().parse().map_err(|e| ParseFxpError {
-            msg: format!("bad raw part {raw_s:?}: {e}"),
-        })?;
-        let frac: u32 = frac_s.trim().parse().map_err(|e| ParseFxpError {
-            msg: format!("bad frac part {frac_s:?}: {e}"),
-        })?;
-        if frac > Self::MAX_FRAC_BITS {
-            return Err(ParseFxpError {
-                msg: format!("frac_bits {frac} exceeds {}", Self::MAX_FRAC_BITS),
-            });
-        }
-        Ok(Fxp::from_raw(raw, frac))
     }
 }
 
@@ -284,73 +161,10 @@ mod tests {
     }
 
     #[test]
-    fn rescale_finer_is_exact() {
-        let v = Fxp::from_f64(0.75, 2);
-        let fine = v.rescale(8);
-        assert_eq!(fine.to_f64(), 0.75);
-        assert_eq!(fine.frac_bits(), 8);
-    }
-
-    #[test]
-    fn rescale_coarser_rounds() {
-        let v = Fxp::from_raw(3, 2); // 0.75
-        let coarse = v.rescale(1); // grid of halves -> 1.0 (ties away)
-        assert_eq!(coarse.to_f64(), 1.0);
-    }
-
-    #[test]
-    fn wide_mul_exact() {
-        let a = Fxp::from_f64(0.5, 5);
-        let b = Fxp::from_f64(-1.25, 5);
-        let p = a.wide_mul(b);
-        assert_eq!(p.to_f64(), -0.625);
-        assert_eq!(p.frac_bits(), 10);
-    }
-
-    #[test]
-    fn wide_add_aligns() {
-        let a = Fxp::from_f64(0.5, 1);
-        let b = Fxp::from_f64(0.25, 2);
-        assert_eq!(a.wide_add(b).to_f64(), 0.75);
-    }
-
-    #[test]
     fn saturation() {
         let v = Fxp::from_raw(300, 5);
         assert_eq!(v.saturate_to_bits(8).raw(), 127);
         let v = Fxp::from_raw(-300, 5);
         assert_eq!(v.saturate_to_bits(8).raw(), -128);
-    }
-
-    #[test]
-    fn storage_bits() {
-        assert_eq!(Fxp::from_raw(0, 0).storage_bits(), 1);
-        assert_eq!(Fxp::from_raw(1, 0).storage_bits(), 2);
-        assert_eq!(Fxp::from_raw(-1, 0).storage_bits(), 1);
-        assert_eq!(Fxp::from_raw(127, 0).storage_bits(), 8);
-        assert_eq!(Fxp::from_raw(-128, 0).storage_bits(), 8);
-        assert_eq!(Fxp::from_raw(128, 0).storage_bits(), 9);
-    }
-
-    #[test]
-    fn parse_round_trip() {
-        let v: Fxp = "23q5".parse().unwrap();
-        assert_eq!(v, Fxp::from_raw(23, 5));
-        assert!("23".parse::<Fxp>().is_err());
-        assert!("xq5".parse::<Fxp>().is_err());
-        assert!("1q99".parse::<Fxp>().is_err());
-    }
-
-    #[test]
-    fn hash_consistent_with_eq() {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let h = |v: Fxp| {
-            let mut s = DefaultHasher::new();
-            v.hash(&mut s);
-            s.finish()
-        };
-        assert_eq!(h(Fxp::from_raw(1, 1)), h(Fxp::from_raw(16, 5)));
-        assert_eq!(h(Fxp::from_raw(0, 3)), h(Fxp::from_raw(0, 7)));
     }
 }

@@ -9,8 +9,6 @@
 //!   Algorithm 1 (`K = round(K* · 2^λ) / 2^λ`).
 //! * [`PowerOfTwoScale`] — the power-of-two scaling factor `S = 2^e`
 //!   (paper §3.1) for which division degenerates into a bit shift.
-//! * [`Dyadic`] — dyadic rational numbers `b / 2^c` used by the integer-only
-//!   requantization pipeline of Jacob et al. (paper ref. \[15\]).
 //! * [`quantize_value`] / [`IntRange`] — the uniform quantizer of Eq. (2),
 //!   `q = clip(round(x / S), Qn, Qp)`.
 //! * Rounding helpers ([`round_half_away`], [`round_to_fraction_bits`]) that
@@ -43,17 +41,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dyadic;
 mod fxp_value;
 mod range;
 mod rounding;
 mod scale;
 
-pub use dyadic::Dyadic;
-pub use fxp_value::{Fxp, ParseFxpError};
+pub use fxp_value::Fxp;
 pub use range::IntRange;
-pub use rounding::{round_half_away, round_half_even, round_to_fraction_bits, RoundingMode};
-pub use scale::{PowerOfTwoScale, ShiftDirection};
+pub use rounding::{round_half_away, round_to_fraction_bits};
+pub use scale::PowerOfTwoScale;
 
 /// Quantizes a real value `x` with scale `S` into the integer range `range`
 /// following Eq. (2) of the paper: `q = clip(round(x / S), Qn, Qp)`.

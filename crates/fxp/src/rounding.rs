@@ -4,36 +4,8 @@
 //! `round()` in most languages rounds ties away from zero; IEEE-754
 //! `roundTiesToEven` rounds them to even. The difference matters exactly at
 //! the breakpoint-quantization step (§3.3) where values like `p/S = 0.5`
-//! occur, so both are provided and every caller states which one it uses.
-
-/// Tie-breaking behaviour for round-to-nearest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RoundingMode {
-    /// Ties round away from zero: `round(0.5) = 1`, `round(-0.5) = -1`.
-    ///
-    /// This matches `f64::round`, Python/NumPy's behaviour on the dyadic
-    /// values that occur in this codebase, and is the default everywhere.
-    #[default]
-    HalfAway,
-    /// Ties round to the nearest even integer: `round(0.5) = 0`,
-    /// `round(1.5) = 2` (IEEE-754 `roundTiesToEven`).
-    HalfEven,
-}
-
-impl RoundingMode {
-    /// Applies this rounding mode to `x`, returning the nearest `i64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is NaN or does not fit in `i64` (|x| ≥ 2^63).
-    #[must_use]
-    pub fn round(self, x: f64) -> i64 {
-        match self {
-            RoundingMode::HalfAway => round_half_away(x),
-            RoundingMode::HalfEven => round_half_even(x),
-        }
-    }
-}
+//! occur, so every rounding here breaks ties away from zero, as `f64::round`
+//! does.
 
 /// Rounds to the nearest integer with ties away from zero.
 ///
@@ -53,44 +25,6 @@ impl RoundingMode {
 pub fn round_half_away(x: f64) -> i64 {
     assert!(!x.is_nan(), "cannot round NaN");
     let r = x.round(); // f64::round is ties-away-from-zero
-    assert!(
-        r >= i64::MIN as f64 && r <= i64::MAX as f64,
-        "value {x} does not fit in i64"
-    );
-    r as i64
-}
-
-/// Rounds to the nearest integer with ties to even.
-///
-/// # Panics
-///
-/// Panics if `x` is NaN or does not fit in `i64`.
-///
-/// # Example
-///
-/// ```
-/// use gqa_fxp::round_half_even;
-/// assert_eq!(round_half_even(2.5), 2);
-/// assert_eq!(round_half_even(3.5), 4);
-/// assert_eq!(round_half_even(-2.5), -2);
-/// ```
-#[must_use]
-pub fn round_half_even(x: f64) -> i64 {
-    assert!(!x.is_nan(), "cannot round NaN");
-    let floor = x.floor();
-    let frac = x - floor;
-    let r = if frac > 0.5 {
-        floor + 1.0
-    } else if frac < 0.5 {
-        floor
-    } else {
-        // Exact tie: pick the even neighbour.
-        if (floor as i64) % 2 == 0 {
-            floor
-        } else {
-            floor + 1.0
-        }
-    };
     assert!(
         r >= i64::MIN as f64 && r <= i64::MAX as f64,
         "value {x} does not fit in i64"
@@ -140,24 +74,6 @@ mod tests {
     }
 
     #[test]
-    fn half_even_basic() {
-        assert_eq!(round_half_even(0.5), 0);
-        assert_eq!(round_half_even(1.5), 2);
-        assert_eq!(round_half_even(2.5), 2);
-        assert_eq!(round_half_even(-0.5), 0);
-        assert_eq!(round_half_even(-1.5), -2);
-        assert_eq!(round_half_even(-2.4), -2);
-    }
-
-    #[test]
-    fn modes_agree_off_ties() {
-        for i in -100..100 {
-            let x = i as f64 * 0.37 + 0.001;
-            assert_eq!(round_half_away(x), round_half_even(x), "x={x}");
-        }
-    }
-
-    #[test]
     fn fraction_bits_grid() {
         // On-grid values are fixed points of the rounding.
         for raw in -64..64i64 {
@@ -176,12 +92,5 @@ mod tests {
     #[should_panic(expected = "cannot round NaN")]
     fn nan_panics() {
         let _ = round_half_away(f64::NAN);
-    }
-
-    #[test]
-    fn mode_enum_dispatch() {
-        assert_eq!(RoundingMode::HalfAway.round(0.5), 1);
-        assert_eq!(RoundingMode::HalfEven.round(0.5), 0);
-        assert_eq!(RoundingMode::default().round(1.5), 2);
     }
 }

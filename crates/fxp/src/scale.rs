@@ -7,18 +7,6 @@
 //! performs.
 
 use std::fmt;
-use std::ops::{Div, Mul};
-
-/// Which way an exponent maps onto a hardware shifter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShiftDirection {
-    /// Multiply by `2^n` (left shift by `n`).
-    Left(u32),
-    /// Divide by `2^n` (arithmetic right shift by `n`).
-    Right(u32),
-    /// No shift (exponent 0).
-    None,
-}
 
 /// A power-of-two scaling factor `S = 2^exponent`.
 ///
@@ -57,29 +45,6 @@ impl PowerOfTwoScale {
         Self { exponent }
     }
 
-    /// The paper's learnable-α construction: `S = 2^⌊log2 α⌉` (§3.1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is not finite and positive.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use gqa_fxp::PowerOfTwoScale;
-    /// assert_eq!(PowerOfTwoScale::from_alpha(0.3).exponent(), -2); // log2(0.3) ≈ -1.74 -> -2
-    /// assert_eq!(PowerOfTwoScale::from_alpha(1.0).exponent(), 0);
-    /// ```
-    #[must_use]
-    pub fn from_alpha(alpha: f64) -> Self {
-        assert!(
-            alpha.is_finite() && alpha > 0.0,
-            "alpha must be finite and positive, got {alpha}"
-        );
-        let e = crate::rounding::round_half_away(alpha.log2());
-        Self::new(e as i32)
-    }
-
     /// The smallest power-of-two scale that covers `max_abs` with the given
     /// signed integer range (min-max calibration restricted to the PoT grid).
     ///
@@ -111,47 +76,27 @@ impl PowerOfTwoScale {
         f64::from_bits(((1023 + self.exponent) as u64) << 52)
     }
 
-    /// How `x · S` maps onto a shifter.
-    #[must_use]
-    pub fn multiply_shift(self) -> ShiftDirection {
-        match self.exponent {
-            0 => ShiftDirection::None,
-            e if e > 0 => ShiftDirection::Left(e as u32),
-            e => ShiftDirection::Right((-e) as u32),
-        }
-    }
-
-    /// How `x / S` maps onto a shifter (the `b_i ≫ ⌊log2 α⌉` of Eq. 3;
-    /// for negative exponents the "right shift by a negative amount" is a
-    /// left shift).
-    #[must_use]
-    pub fn divide_shift(self) -> ShiftDirection {
-        match self.exponent {
-            0 => ShiftDirection::None,
-            e if e > 0 => ShiftDirection::Right(e as u32),
-            e => ShiftDirection::Left((-e) as u32),
-        }
-    }
-
     /// Integer `x · S` with round-half-away on the shifted-out bits.
     ///
     /// For `S = 2^-n` this is a rounding arithmetic right shift; for
     /// `S = 2^n` an exact left shift.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "shift overflow" if an exact left shift leaves `i64`.
     #[must_use]
     pub fn multiply_int(self, x: i64) -> i64 {
         shift_with_rounding(x, self.exponent)
     }
 
     /// Integer `x / S` with round-half-away on the shifted-out bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "shift overflow" if an exact left shift leaves `i64`.
     #[must_use]
     pub fn divide_int(self, x: i64) -> i64 {
         shift_with_rounding(x, -self.exponent)
-    }
-
-    /// The scale `S^2` (used by RSQRT rescaling identities).
-    #[must_use]
-    pub fn squared(self) -> Self {
-        Self::new(self.exponent * 2)
     }
 
     /// The reciprocal scale `1/S`.
@@ -175,24 +120,6 @@ impl Default for PowerOfTwoScale {
     }
 }
 
-impl Mul for PowerOfTwoScale {
-    type Output = PowerOfTwoScale;
-    // Multiplying powers of two adds exponents.
-    #[allow(clippy::suspicious_arithmetic_impl)]
-    fn mul(self, rhs: Self) -> Self {
-        Self::new(self.exponent + rhs.exponent)
-    }
-}
-
-impl Div for PowerOfTwoScale {
-    type Output = PowerOfTwoScale;
-    // Dividing powers of two subtracts exponents.
-    #[allow(clippy::suspicious_arithmetic_impl)]
-    fn div(self, rhs: Self) -> Self {
-        Self::new(self.exponent - rhs.exponent)
-    }
-}
-
 impl PartialOrd for PowerOfTwoScale {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
@@ -212,9 +139,11 @@ impl fmt::Display for PowerOfTwoScale {
 }
 
 /// Computes `x · 2^e` in integer arithmetic, rounding half-away when `e < 0`.
+/// The left shift is a checked multiply: `checked_shl` checks only the
+/// shift amount, so it would wrap the bits it loses.
 fn shift_with_rounding(x: i64, e: i32) -> i64 {
     if e >= 0 {
-        x.checked_shl(e as u32).expect("shift overflow")
+        x.checked_mul(1 << e).expect("shift overflow")
     } else {
         let n = (-e) as u32;
         if n >= 63 {
@@ -248,13 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn from_alpha_rounds_log() {
-        assert_eq!(PowerOfTwoScale::from_alpha(1.5).exponent(), 1); // log2(1.5)=0.585
-        assert_eq!(PowerOfTwoScale::from_alpha(0.1).exponent(), -3); // log2(0.1)=-3.32
-        assert_eq!(PowerOfTwoScale::from_alpha(4.0).exponent(), 2);
-    }
-
-    #[test]
     fn covering_scale_covers() {
         let r = IntRange::signed(8);
         for &m in &[0.3, 1.0, 3.9, 4.0, 100.0] {
@@ -282,16 +204,22 @@ mod tests {
     #[test]
     fn divide_by_small_scale_is_left_shift() {
         let s = PowerOfTwoScale::new(-3);
-        assert_eq!(s.divide_shift(), ShiftDirection::Left(3));
         assert_eq!(s.divide_int(-7), -56);
+        assert_eq!(PowerOfTwoScale::new(-60).divide_int(-8), i64::MIN);
+    }
+
+    /// b / S for S = 2^-58 needs 58 + 6 bits for b = 32: the shift must
+    /// refuse rather than wrap the lost bits into a wrong intercept.
+    #[test]
+    #[should_panic(expected = "shift overflow")]
+    fn divide_int_overflow_panics() {
+        let _ = PowerOfTwoScale::new(-58).divide_int(32);
     }
 
     #[test]
     fn algebra() {
         let a = PowerOfTwoScale::new(-2);
         let b = PowerOfTwoScale::new(-4);
-        assert_eq!((a * b).exponent(), -6);
-        assert_eq!((a / b).exponent(), 2);
         assert_eq!(a.recip().exponent(), 2);
         assert_eq!(b.sqrt_exact().unwrap().exponent(), -2);
         assert!(PowerOfTwoScale::new(-3).sqrt_exact().is_none());

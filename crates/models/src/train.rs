@@ -321,22 +321,26 @@ mod tests {
 
     #[test]
     fn weight_quantization_snaps_to_pot_grid() {
-        let mut ps = ParamStore::new();
-        let id = ps.alloc(Tensor::from_vec(vec![0.31, -0.74, 0.02, 0.5], &[4]));
-        quantize_weights_pot(&mut ps);
-        let vals = &ps.value(id).data;
-        // All values land on some common power-of-two grid covering 0.74.
-        for &v in vals.iter() {
-            let scaled = v as f64 * 128.0; // finest plausible grid here
-            assert!(
-                (scaled - scaled.round()).abs() < 1e-3,
-                "value {v} not on grid"
-            );
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let cases: [([f32; 4], [f32; 4]); 3] = [
+            // max |w| = 0.74 → step 0.74/128 → S = 2^-7.
+            (
+                [0.31, -0.74, 0.02, 0.5],
+                [0.3125, -0.7421875, 0.0234375, 0.5],
+            ),
+            ([0.0; 4], [0.0; 4]),
+            // The step is sized for |Qn| = 128, so the max clips to 127/128.
+            ([1.0, -0.25, 0.5, 0.3], [0.9921875, -0.25, 0.5, 0.296875]),
+        ];
+        for (input, want) in cases {
+            let mut ps = ParamStore::new();
+            let id = ps.alloc(Tensor::from_vec(input.to_vec(), &[4]));
+            quantize_weights_pot(&mut ps);
+            assert_eq!(bits(&ps.value(id).data), bits(&want), "{input:?}");
+            // Idempotent.
+            quantize_weights_pot(&mut ps);
+            assert_eq!(bits(&ps.value(id).data), bits(&want), "{input:?}");
         }
-        // Idempotent.
-        let before = vals.clone();
-        quantize_weights_pot(&mut ps);
-        assert_eq!(&before, &ps.value(id).data);
     }
 
     #[test]

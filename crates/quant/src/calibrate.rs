@@ -1,4 +1,4 @@
-//! Calibration: choosing the initial quantization scale from data.
+//! Calibration: choosing a tensor's quantization step from its data.
 
 use gqa_fxp::IntRange;
 
@@ -15,31 +15,6 @@ pub fn calibrate_minmax(xs: &[f32], range: IntRange) -> f64 {
     }
     let denom = (range.qn().abs().max(range.qp())) as f64;
     max_abs / denom
-}
-
-/// Percentile calibration: like min-max but on the `pct`-quantile of |x|,
-/// robust to outliers. `pct` in (0, 1].
-///
-/// # Panics
-///
-/// Panics if `pct` is outside `(0, 1]`.
-#[must_use]
-pub fn calibrate_percentile(xs: &[f32], range: IntRange, pct: f64) -> f64 {
-    assert!(
-        pct > 0.0 && pct <= 1.0,
-        "percentile must be in (0, 1], got {pct}"
-    );
-    if xs.is_empty() {
-        return 1e-8;
-    }
-    let mut mags: Vec<f64> = xs.iter().map(|&x| (x as f64).abs()).collect();
-    mags.sort_by(|a, b| a.partial_cmp(b).expect("finite magnitudes"));
-    let idx = ((mags.len() as f64 * pct).ceil() as usize).clamp(1, mags.len()) - 1;
-    let v = mags[idx];
-    if v == 0.0 {
-        return 1e-8;
-    }
-    v / (range.qn().abs().max(range.qp())) as f64
 }
 
 #[cfg(test)]
@@ -59,28 +34,5 @@ mod tests {
     fn empty_and_zero_data_fallback() {
         assert_eq!(calibrate_minmax(&[], IntRange::signed(8)), 1e-8);
         assert_eq!(calibrate_minmax(&[0.0, 0.0], IntRange::signed(8)), 1e-8);
-    }
-
-    #[test]
-    fn percentile_ignores_outliers() {
-        let mut xs = vec![0.1f32; 999];
-        xs.push(1000.0);
-        let s99 = calibrate_percentile(&xs, IntRange::signed(8), 0.99);
-        let smm = calibrate_minmax(&xs, IntRange::signed(8));
-        assert!(s99 < smm / 100.0, "s99 {s99} vs minmax {smm}");
-    }
-
-    #[test]
-    fn percentile_one_equals_minmax() {
-        let xs = [0.5f32, -2.0, 1.0];
-        let a = calibrate_percentile(&xs, IntRange::signed(8), 1.0);
-        let b = calibrate_minmax(&xs, IntRange::signed(8));
-        assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile")]
-    fn bad_percentile_panics() {
-        let _ = calibrate_percentile(&[1.0], IntRange::signed(8), 0.0);
     }
 }

@@ -1,42 +1,33 @@
-//! # gqa-quant — integer-only quantization substrate
+//! # gqa-quant — the model harness's weight quantizer
 //!
-//! The quantization machinery the paper's model-level evaluation rests on
-//! (§2.3, §4.2):
+//! What the Table 4/5 harness (`gqa-models`) calls to snap each weight
+//! tensor onto a min-max power-of-two INT8 grid (§2.3, §3.1):
 //!
-//! * [`LsqQuantizer`] — Learned Step-size Quantization (LSQ, ref. \[19\]):
-//!   fake-quant forward plus the STE gradients for both the input and the
-//!   learnable step.
-//! * [`PotLsqQuantizer`] — the paper's power-of-two variant (§3.1):
-//!   `S = 2^⌊log2 α⌉` with a learnable `α`, STE through the exponent
-//!   rounding. Used for every tensor feeding a non-linear LUT operator.
-//! * [`QuantParams`] / [`calibrate_minmax`] — per-tensor quantization
-//!   parameters and min-max calibration (the initializer for LSQ).
-//! * [`requant_multiplier`] — the dyadic requantization glue of the
-//!   integer-only pipeline (ref. \[15\]): `M = Sx·Sw / Sy` as an integer
-//!   multiply + shift.
+//! * [`calibrate_minmax`] — the min-max step that covers a tensor's
+//!   largest magnitude.
+//! * [`QuantParams`] — a frozen power-of-two scale plus integer range,
+//!   which fake-quantizes a tensor in place (Eq. 2).
 //!
 //! ## Example
 //!
 //! ```
-//! use gqa_quant::{LsqQuantizer, PotLsqQuantizer};
-//! use gqa_fxp::IntRange;
+//! use gqa_fxp::{IntRange, PowerOfTwoScale};
+//! use gqa_quant::{calibrate_minmax, QuantParams};
 //!
-//! let mut q = PotLsqQuantizer::new(0.1, IntRange::signed(8));
-//! let (y, _) = q.forward(0.3);
-//! assert!((y - 0.3).abs() < q.scale().to_f64()); // within one step
+//! let range = IntRange::signed(8);
+//! let mut w = vec![0.31f32, -0.74, 0.02, 0.5];
+//! let step = calibrate_minmax(&w, range); // 0.74 / 128
+//! let scale = PowerOfTwoScale::covering(step * range.qp() as f64, range);
+//! assert_eq!(scale.exponent(), -7);
+//! QuantParams::new(scale, range).fake_quantize_in_place(&mut w);
+//! assert_eq!(w, [0.3125, -0.7421875, 0.0234375, 0.5]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod calibrate;
-mod lsq;
-mod pipeline;
-mod pot;
 mod qparams;
 
-pub use calibrate::{calibrate_minmax, calibrate_percentile};
-pub use lsq::{LsqGrad, LsqQuantizer};
-pub use pipeline::{requant_multiplier, requant_shift};
-pub use pot::PotLsqQuantizer;
+pub use calibrate::calibrate_minmax;
 pub use qparams::QuantParams;

@@ -5,8 +5,8 @@ use std::fmt;
 use gqa_fxp::{IntRange, PowerOfTwoScale};
 
 /// Frozen per-tensor quantization parameters: a power-of-two scale plus an
-/// integer range. This is what a deployed integer-only model carries per
-/// tensor after QAT (the learnable `α` is baked into the snapped scale).
+/// integer range. The harness snaps each weight tensor onto the grid these
+/// describe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuantParams {
     scale: PowerOfTwoScale,
@@ -18,13 +18,6 @@ impl QuantParams {
     #[must_use]
     pub fn new(scale: PowerOfTwoScale, range: IntRange) -> Self {
         Self { scale, range }
-    }
-
-    /// INT8 signed parameters with the given scale exponent — the common
-    /// case in the paper.
-    #[must_use]
-    pub fn int8(exponent: i32) -> Self {
-        Self::new(PowerOfTwoScale::new(exponent), IntRange::signed(8))
     }
 
     /// The power-of-two scale.
@@ -39,33 +32,11 @@ impl QuantParams {
         self.range
     }
 
-    /// Quantizes a slice to integer codes.
-    #[must_use]
-    pub fn quantize(&self, xs: &[f32]) -> Vec<i64> {
-        xs.iter()
-            .map(|&x| gqa_fxp::quantize_value(x as f64, self.scale, self.range))
-            .collect()
-    }
-
-    /// Dequantizes integer codes back to reals.
-    #[must_use]
-    pub fn dequantize(&self, qs: &[i64]) -> Vec<f32> {
-        qs.iter()
-            .map(|&q| gqa_fxp::dequantize_value(q, self.scale) as f32)
-            .collect()
-    }
-
     /// Fake-quantizes a slice in place (quantize∘dequantize).
     pub fn fake_quantize_in_place(&self, xs: &mut [f32]) {
         for x in xs.iter_mut() {
             *x = gqa_fxp::fake_quantize(*x as f64, self.scale, self.range) as f32;
         }
-    }
-
-    /// Largest representable magnitude, `max(|Qn|, Qp) · S`.
-    #[must_use]
-    pub fn max_representable(&self) -> f64 {
-        self.range.qn().abs().max(self.range.qp()) as f64 * self.scale.to_f64()
     }
 }
 
@@ -79,18 +50,13 @@ impl fmt::Display for QuantParams {
 mod tests {
     use super::*;
 
-    #[test]
-    fn round_trip_on_grid() {
-        let p = QuantParams::int8(-4);
-        let xs: Vec<f32> = (-128..=127).map(|q| q as f32 / 16.0).collect();
-        let qs = p.quantize(&xs);
-        let back = p.dequantize(&qs);
-        assert_eq!(xs, back);
+    fn int8(exponent: i32) -> QuantParams {
+        QuantParams::new(PowerOfTwoScale::new(exponent), IntRange::signed(8))
     }
 
     #[test]
     fn fake_quant_in_place_idempotent() {
-        let p = QuantParams::int8(-3);
+        let p = int8(-3);
         let mut xs = vec![0.3f32, -1.77, 100.0];
         p.fake_quantize_in_place(&mut xs);
         let once = xs.clone();
@@ -99,16 +65,7 @@ mod tests {
     }
 
     #[test]
-    fn max_representable_value() {
-        let p = QuantParams::int8(-3);
-        assert_eq!(p.max_representable(), 16.0);
-    }
-
-    #[test]
     fn display_format() {
-        assert_eq!(
-            QuantParams::int8(-2).to_string(),
-            "S=2^-2 range=[-128, 127]"
-        );
+        assert_eq!(int8(-2).to_string(), "S=2^-2 range=[-128, 127]");
     }
 }

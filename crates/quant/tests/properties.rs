@@ -1,48 +1,10 @@
 //! Property-based tests for the quantization substrate.
 
 use gqa_fxp::IntRange;
-use gqa_quant::{
-    calibrate_minmax, calibrate_percentile, requant_multiplier, LsqQuantizer, PotLsqQuantizer,
-    QuantParams,
-};
+use gqa_quant::calibrate_minmax;
 use proptest::prelude::*;
 
 proptest! {
-    /// LSQ forward output is always on the step grid and inside the clip
-    /// bounds.
-    #[test]
-    fn lsq_output_on_grid(x in -100.0f64..100.0, step in 0.001f64..1.0) {
-        let q = LsqQuantizer::new(step, IntRange::signed(8));
-        let (y, _) = q.forward(x);
-        let code = y / step;
-        prop_assert!((code - code.round()).abs() < 1e-9);
-        prop_assert!((-128.0 - 1e-9..=127.0 + 1e-9).contains(&code));
-    }
-
-    /// LSQ's STE input gradient is exactly the clip indicator.
-    #[test]
-    fn lsq_dx_is_clip_indicator(x in -100.0f64..100.0, step in 0.01f64..1.0) {
-        let q = LsqQuantizer::new(step, IntRange::signed(8));
-        let (_, g) = q.forward(x);
-        let v = x / step;
-        if v > -128.0 && v < 127.0 {
-            prop_assert_eq!(g.dx, 1.0);
-            // |round(v) - v| <= 0.5
-            prop_assert!(g.ds.abs() <= 0.5 + 1e-12);
-        } else {
-            prop_assert_eq!(g.dx, 0.0);
-        }
-    }
-
-    /// PoT quantizer's snapped scale is within a factor √2 of α.
-    #[test]
-    fn pot_scale_near_alpha(alpha in 0.001f64..100.0) {
-        let q = PotLsqQuantizer::new(alpha, IntRange::signed(8));
-        let ratio = q.scale().to_f64() / alpha;
-        prop_assert!(ratio >= std::f64::consts::FRAC_1_SQRT_2 - 1e-9);
-        prop_assert!(ratio <= std::f64::consts::SQRT_2 + 1e-9);
-    }
-
     /// Min-max calibration never clips by more than the signed-range
     /// asymmetry: the scale is sized for |Qn| = 128, so the positive
     /// extreme (clipped at Qp = 127) can be off by up to one full step;
@@ -54,40 +16,6 @@ proptest! {
         for &x in &xs {
             let code = (x as f64 / step).round().clamp(-128.0, 127.0);
             prop_assert!((code * step - x as f64).abs() <= step + 1e-6);
-        }
-    }
-
-    /// Percentile calibration is monotone in the percentile.
-    #[test]
-    fn percentile_monotone(xs in proptest::collection::vec(-10.0f32..10.0, 4..64)) {
-        let r = IntRange::signed(8);
-        let s50 = calibrate_percentile(&xs, r, 0.5);
-        let s90 = calibrate_percentile(&xs, r, 0.9);
-        let s100 = calibrate_percentile(&xs, r, 1.0);
-        prop_assert!(s50 <= s90 + 1e-12);
-        prop_assert!(s90 <= s100 + 1e-12);
-    }
-
-    /// Requantization multiplier application matches real arithmetic.
-    #[test]
-    fn requant_matches_real(acc in -1_000_000i64..1_000_000,
-                            sx in 0.01f64..1.0, sw in 0.01f64..1.0, sy in 0.01f64..1.0) {
-        let m = requant_multiplier(sx, sw, sy);
-        let got = m.apply(acc) as f64;
-        let want = acc as f64 * (sx * sw / sy);
-        prop_assert!((got - want).abs() <= 1.0 + want.abs() * 1e-6,
-            "got {got} want {want}");
-    }
-
-    /// QuantParams round-trip: dequantize(quantize(x)) is within S/2 inside
-    /// the representable range.
-    #[test]
-    fn qparams_round_trip(x in -100.0f32..100.0, e in -8i32..=0) {
-        let p = QuantParams::int8(e);
-        let q = p.quantize(&[x]);
-        let back = p.dequantize(&q)[0];
-        if (x.abs() as f64) < p.max_representable() {
-            prop_assert!((back - x).abs() as f64 <= p.scale().to_f64() / 2.0 + 1e-6);
         }
     }
 }

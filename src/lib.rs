@@ -6,7 +6,7 @@
 //! The workspace reproduces *Genetic Quantization-Aware Approximation for
 //! Non-Linear Operations in Transformers* (DAC 2024):
 //!
-//! * [`fxp`] — fixed-point values, power-of-two scales, dyadic requantization.
+//! * [`fxp`] — fixed-point values, power-of-two scales, the Eq. (2) quantizer.
 //! * [`funcs`] — reference non-linear functions (GELU, HSWISH, EXP, DIV, RSQRT, …).
 //! * [`simd`] — wide-lane (AVX2) kernels for the batch hot paths, with
 //!   bit-exact scalar fallbacks.
@@ -29,7 +29,7 @@
 //!   (thread-per-connection, no async runtime) submitting straight into
 //!   [`served`], a blocking [`net::NetClient`], and the `gqa-soak` load
 //!   binary with Prometheus-text metric export.
-//! * [`quant`] — LSQ / power-of-two quantizers and integer-only pipeline glue.
+//! * [`quant`] — the model harness's min-max power-of-two INT8 weight snap.
 //! * [`tensor`] — minimal CPU tensor library with reverse-mode autodiff.
 //! * [`data`] — SynthScapes synthetic segmentation dataset + mIoU metrics.
 //! * [`models`] — SegformerLite / EfficientVitLite with pluggable non-linear backends.
